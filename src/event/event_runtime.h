@@ -12,7 +12,6 @@
 #include "obs/metrics.h"
 #include "runtime/network.h"
 #include "runtime/node_runtime.h"
-#include "sim/energy_model.h"
 
 namespace m2m::event {
 
@@ -82,50 +81,30 @@ class EventNodeRuntime {
 /// EventNodeRuntime handlers through a pluggable Transport, instead of the
 /// global round barrier.
 ///
-/// Two execution modes:
+/// `RunPipelined` is genuinely asynchronous execution the round model
+/// cannot express. Per-node virtual clocks release timestep starts on each
+/// node's *local* schedule, per-hop latency puts deliveries on the global
+/// event line, and multiple timesteps overlap in flight (block-computation
+/// pipelining); retirement is per-timestep quiescence. Retransmit timers
+/// are cancelled exactly when the ack lands — the event queue's Cancel in
+/// anger. (Lockstep lossy rounds run on the same EventQueue inside
+/// `RuntimeNetwork::RunRoundLossy`.)
 ///
-///   - `RunCompatRound`: the round-compatibility mode. With a
-///     RoundCompatTransport (zero hop latency — the round model's
-///     slot semantics) it reproduces `RuntimeNetwork::RunRoundLossy`
-///     byte-identically: same traces, same metrics JSON, same aggregate
-///     bits (tests/event_test.cc pins this with a 20-seed differential).
-///     The round barrier is thereby demoted to a special case of the
-///     event engine.
-///
-///   - `RunPipelined`: genuinely asynchronous execution the round model
-///     cannot express. Per-node virtual clocks release timestep starts on
-///     each node's *local* schedule, per-hop latency puts deliveries on
-///     the global event line, and multiple timesteps overlap in flight
-///     (block-computation pipelining); retirement is per-timestep
-///     quiescence. Retransmit timers are cancelled exactly when the ack
-///     lands — the event queue's Cancel in anger.
-///
-/// The engine borrows the fleet: images, epochs and (in compat mode) round
-/// state are shared with the round-based runtime, so the two models can be
+/// The engine borrows the fleet's images and epochs; it never mutates the
+/// fleet, so pipelined batches and round-based execution can be
 /// interleaved over one deployment.
 class EventNetwork {
  public:
-  explicit EventNetwork(RuntimeNetwork& fleet);
+  explicit EventNetwork(const RuntimeNetwork& fleet);
 
-  /// Registers the same runtime metric set RuntimeNetwork::set_metrics
-  /// registers, in the same order — a compat round renders a byte-identical
-  /// metrics JSON. Pass nullptr to detach.
-  void set_metrics(obs::MetricsRegistry* metrics);
+  /// No-op: RunPipelined records only the `event.*` set attached through
+  /// set_event_metrics. Kept so existing callers still compile.
+  void set_metrics(obs::MetricsRegistry* metrics) { (void)metrics; }
 
   /// Registers the event-engine instrumentation (`event.*`): queue depth,
   /// handler scheduling-latency histogram, pipeline occupancy, processed
-  /// event and cancelled timer counters. Kept separate from set_metrics so
-  /// byte-identity differentials can run with engine introspection off.
+  /// event and cancelled timer counters. Pass nullptr to detach.
   void set_event_metrics(obs::MetricsRegistry* metrics);
-
-  /// Runs one timestep in round-compatibility mode over `transport`.
-  /// `timestep` is forwarded to the transport's per-timestep decisions
-  /// (a RoundCompatTransport ignores it — its LossyLinkModel is already
-  /// bound to a round).
-  RuntimeNetwork::LossyResult RunCompatRound(
-      const std::vector<double>& readings, const Transport& transport,
-      const RetryPolicy& retry = {}, const EnergyModel& energy = {},
-      EventTrace* trace = nullptr, int timestep = 0);
 
   struct PipelineOptions {
     /// Local-clock ticks between successive timestep releases: node n
@@ -174,31 +153,6 @@ class EventNetwork {
       const Transport& transport, const PipelineOptions& options);
 
  private:
-  struct RuntimeMetricHandles {
-    obs::MetricHandle tx_attempts;
-    obs::MetricHandle tx_bytes;
-    obs::MetricHandle rx_packets;
-    obs::MetricHandle rx_bytes;
-    obs::MetricHandle hop_transmissions;
-    obs::MetricHandle retransmissions;
-    obs::MetricHandle backoff_wait_ticks;
-    obs::MetricHandle acks_delivered;
-    obs::MetricHandle acks_lost;
-    obs::MetricHandle dedup_hits;
-    obs::MetricHandle epoch_gate_drops;
-    obs::MetricHandle messages_abandoned;
-    obs::MetricHandle tx_packets;
-    obs::MetricHandle delivery_passes;
-    obs::MetricHandle attempts_per_message;
-    obs::MetricHandle round_ticks;
-    obs::MetricHandle installs;
-    obs::MetricHandle install_bytes;
-    obs::MetricHandle chan_corrupt_frames;
-    obs::MetricHandle chan_duplicated;
-    obs::MetricHandle chan_reordered;
-    obs::MetricHandle coverage_per_destination;
-    obs::MetricHandle coverage_degraded_rounds;
-  };
   struct EventMetricHandles {
     obs::MetricHandle events_processed;
     obs::MetricHandle queue_depth;
@@ -207,9 +161,7 @@ class EventNetwork {
     obs::MetricHandle timers_cancelled;
   };
 
-  RuntimeNetwork* fleet_;
-  obs::MetricsRegistry* metrics_ = nullptr;
-  RuntimeMetricHandles handles_;
+  const RuntimeNetwork* fleet_;
   obs::MetricsRegistry* event_metrics_ = nullptr;
   EventMetricHandles event_handles_;
 };

@@ -5,40 +5,6 @@
 
 namespace m2m::event {
 
-RoundCompatTransport::RoundCompatTransport(const LossyLinkModel& links)
-    : links_(&links) {}
-
-bool RoundCompatTransport::AttemptDelivers(int timestep, NodeId from,
-                                           NodeId to, int attempt) const {
-  (void)timestep;
-  if (!links_->attempt_delivers) return true;
-  return links_->attempt_delivers(from, to, attempt);
-}
-
-HopEffects RoundCompatTransport::EffectsFor(int timestep, NodeId from,
-                                            NodeId to, int attempt) const {
-  (void)timestep;
-  if (!links_->hop_effects) return HopEffects{};
-  return links_->hop_effects(from, to, attempt);
-}
-
-bool RoundCompatTransport::NodeAlive(int timestep, NodeId node) const {
-  (void)timestep;
-  if (!links_->node_alive) return true;
-  return links_->node_alive(node);
-}
-
-int RoundCompatTransport::max_delay_ticks() const {
-  return links_->max_delay_ticks;
-}
-
-std::string RoundCompatTransport::Describe() const {
-  std::ostringstream out;
-  out << "{\"kind\": \"round_compat\", \"hop_latency_ticks\": 0, "
-      << "\"max_delay_ticks\": " << links_->max_delay_ticks << "}";
-  return out.str();
-}
-
 SimChannelTransport::SimChannelTransport(const ChannelModel* channel,
                                          Options options)
     : channel_(channel), options_(std::move(options)) {

@@ -51,39 +51,18 @@ class Transport {
   /// (the dedup-eviction horizon extension, as in LossyLinkModel).
   virtual int max_delay_ticks() const { return 0; }
 
-  /// Scheduling latency of one crossed hop in engine ticks. The simulated
-  /// async transport returns >= 1 (a radio hop takes time); the
-  /// round-compatibility transport returns 0 (a whole attempt completes
-  /// within its tick, the round model's slot semantics).
+  /// Scheduling latency of one crossed hop in engine ticks (a radio hop
+  /// takes time). RunPipelined clamps each hop to at least 1 tick, so the
+  /// default of 1 is also the floor.
   virtual int64_t HopLatencyTicks(NodeId from, NodeId to) const {
     (void)from;
     (void)to;
-    return 0;
+    return 1;
   }
 
   /// One-line JSON object fragment describing the transport configuration
   /// (bench metadata; see bench::TransportConfigJson).
   virtual std::string Describe() const = 0;
-};
-
-/// Round-compatibility transport: wraps the per-round LossyLinkModel the
-/// lockstep runtime consumes. Zero hop latency reproduces the round
-/// barrier's slot semantics exactly — the byte-identity anchor transport.
-class RoundCompatTransport : public Transport {
- public:
-  /// `links` must outlive the transport (it is a per-round binding).
-  explicit RoundCompatTransport(const LossyLinkModel& links);
-
-  bool AttemptDelivers(int timestep, NodeId from, NodeId to,
-                       int attempt) const override;
-  HopEffects EffectsFor(int timestep, NodeId from, NodeId to,
-                        int attempt) const override;
-  bool NodeAlive(int timestep, NodeId node) const override;
-  int max_delay_ticks() const override;
-  std::string Describe() const override;
-
- private:
-  const LossyLinkModel* links_;
 };
 
 /// Simulated asynchronous transport: the event queue is the medium. Loss,

@@ -219,7 +219,6 @@ class RuntimeNetwork {
   /// legacy path: the per-node terms are recorded alongside the existing
   /// total-energy terms, never replacing them.
   void set_track_node_energy(bool track) { track_node_energy_ = track; }
-  bool track_node_energy() const { return track_node_energy_; }
 
   /// Total bytes of all installed node images (the dissemination payload).
   int64_t installed_image_bytes() const { return installed_image_bytes_; }
@@ -240,12 +239,6 @@ class RuntimeNetwork {
   const NodeRuntime& node_runtime(NodeId node) const;
 
   int node_count() const { return static_cast<int>(nodes_.size()); }
-
-  /// Mutable node access for the event-driven engine (src/event), which
-  /// drives this same fleet through event handlers instead of the round
-  /// barrier. Installed images, epochs and round state stay shared between
-  /// the two execution models.
-  NodeRuntime& mutable_node_runtime(NodeId node);
 
   /// Physical segments (tail..head inclusive) of `node`'s outgoing
   /// messages, indexed by node-local message id.

@@ -7,8 +7,6 @@
 
 #include "common/check.h"
 #include "common/crc32.h"
-#include "event/event_runtime.h"
-#include "event/transport.h"
 #include "plan/dissemination.h"
 #include "plan/serialization.h"
 #include "routing/lifetime_forest.h"
@@ -207,16 +205,8 @@ SelfHealingRoundResult SelfHealingRuntime::RunRound(
   }
 
   // 1. Data round over the installed (possibly mixed-epoch) images.
-  if (options_.use_event_runtime) {
-    event::EventNetwork engine(network_);
-    engine.set_metrics(network_.metrics());
-    event::RoundCompatTransport transport(*model);
-    result.data = engine.RunCompatRound(readings, transport, options_.retry,
-                                        {}, trace, round);
-  } else {
-    result.data = network_.RunRoundLossy(readings, *model, options_.retry,
-                                         {}, trace);
-  }
+  result.data =
+      network_.RunRoundLossy(readings, *model, options_.retry, {}, trace);
   if (options_.energy.battery_aware) {
     ChargeBatteries(round, result, trace);
   }
@@ -574,28 +564,17 @@ void SelfHealingRuntime::RecordEpochDivergence(NodeId node) {
 
 void SelfHealingRuntime::RebuildBelievedWorkload() {
   workload_ = original_workload_;
-  if (!options_.partition_aware) {
-    // Believed-dead nodes stop being sources (paper section 3: membership
-    // changes shrink the workload, then the plan is patched locally). The
-    // believed workload is recomputed from the original on every belief
-    // change, so a readmitted node resumes as a source.
-    for (NodeId dead : ledger_.believed_dead()) {
-      for (const Task& task : std::vector<Task>(workload_.tasks)) {
-        if (Contains(task.sources, dead)) {
-          workload_ = WithSourceRemoved(workload_, dead, task.destination);
-        }
-      }
-    }
-    return;
-  }
-  // Partition-aware: unreachable is dead OR partitioned, and a partition
-  // can swallow a task whole — its destination, or its every source —
-  // which WithSourceRemoved cannot express (it forbids emptying a task).
-  // Filter the tasks directly: drop tasks with an unreachable destination,
-  // strip unreachable sources, drop tasks left without sources. The
-  // dropped tasks are not forgotten — they live on in original_workload_
-  // and in the round result's partition-status overlay, and come back
-  // verbatim when the island merges.
+  // Believed-unreachable nodes (dead, or partitioned away) leave the
+  // workload (paper section 3: membership changes shrink the workload,
+  // then the plan is patched locally). Every other node is connected to
+  // the base station in the believed topology, so a task keeps only its
+  // reachable sources and survives only with a reachable destination and
+  // at least one such source: routing a kept task never needs a link the
+  // base station believes failed. WithSourceRemoved cannot express this
+  // (it forbids emptying a task), so the tasks are filtered directly.
+  // Dropped tasks live on in original_workload_ (and, partition-aware, in
+  // the round result's partition-status overlay) and come back verbatim on
+  // readmission or merge.
   std::set<NodeId> unreachable(ledger_.believed_dead().begin(),
                                ledger_.believed_dead().end());
   unreachable.insert(ledger_.believed_partitioned().begin(),

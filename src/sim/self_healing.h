@@ -90,12 +90,6 @@ struct SelfHealingOptions {
   /// aware replans, proactive rotation). Off (default) reproduces the
   /// legacy infinite-energy behavior byte for byte.
   EnergyAwareOptions energy;
-  /// Route the data round through the event-driven engine
-  /// (event::EventNetwork::RunCompatRound over a RoundCompatTransport)
-  /// instead of calling RunRoundLossy directly. Byte-identical either way
-  /// — the compat mode reproduces the round barrier exactly — so this is
-  /// a live A/B switch for the event core under the full control loop.
-  bool use_event_runtime = false;
 };
 
 /// The base station's verdict on one *original-workload* destination under
@@ -225,8 +219,8 @@ class SelfHealingRuntime {
   /// admitted, retired, or modified at the base station). Takes effect at
   /// the next RunRound through the same replan / epoch / dissemination
   /// machinery as failure repair — the believed workload becomes this
-  /// workload minus believed-dead sources — so churn composes with
-  /// failures, loss, and rejoin.
+  /// workload minus believed-unreachable sources and tasks — so churn
+  /// composes with failures, loss, and rejoin.
   void SubmitWorkload(const Workload& workload);
 
   /// Attaches a metrics registry to the control loop and the underlying
@@ -241,9 +235,11 @@ class SelfHealingRuntime {
   uint32_t base_epoch() const { return epoch_; }
   const GlobalPlan& plan() const { return plan_; }
   const CompiledPlan& compiled() const { return *compiled_; }
-  /// The believed workload: the original workload minus the sources of
-  /// currently-believed-dead nodes. Recomputed from the original on every
-  /// belief change, so a readmitted node's sources come back.
+  /// The believed workload: the original workload minus currently
+  /// believed-unreachable sources, and minus tasks whose destination (or
+  /// every source) is believed unreachable. Recomputed from the original on
+  /// every belief change, so a readmitted node's sources and tasks come
+  /// back.
   const Workload& current_workload() const { return workload_; }
   const SuspicionLedger& ledger() const { return ledger_; }
   const FailureDetector& detector() const { return detector_; }
@@ -296,11 +292,9 @@ class SelfHealingRuntime {
   void RefreshControlPaths();
   std::vector<std::vector<NodeId>> SegmentsFor(NodeId node) const;
   /// Rebuilds the believed workload from the original under the current
-  /// beliefs. Legacy mode removes believed-dead sources via
-  /// WithSourceRemoved; partition-aware mode additionally drops tasks whose
-  /// destination is unreachable and tasks left without any reachable source
-  /// (a partition may swallow a task whole, which the legacy path cannot
-  /// express).
+  /// beliefs: strips believed-unreachable (dead or partitioned) sources,
+  /// and drops tasks whose destination is unreachable or that are left
+  /// without any reachable source.
   void RebuildBelievedWorkload();
   /// Fills `result`'s partition-status overlay and partition.* metrics.
   void ComputePartitionStatus(SelfHealingRoundResult& result);
@@ -359,7 +353,8 @@ class SelfHealingRuntime {
   SelfHealingOptions options_;
   /// The deployment's full workload, as configured. Never mutated.
   Workload original_workload_;
-  /// The believed workload: original minus believed-dead sources.
+  /// The believed workload: original minus believed-unreachable sources
+  /// and tasks.
   Workload workload_;
   uint32_t epoch_ = 0;
   GlobalPlan plan_;

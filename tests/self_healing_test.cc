@@ -338,6 +338,102 @@ TEST_P(SelfHealingDifferential, DetectsRepairsAndConvergesWithoutOracle) {
 INSTANTIATE_TEST_SUITE_P(TwentySeeds, SelfHealingDifferential,
                          ::testing::Range<uint64_t>(1, 21));
 
+// A believed partition under the default (partition-unaware) runtime: a
+// dumbbell whose only bridge fails for several rounds, then heals. Once the
+// bridge is suspected the base station believes the whole far cluster dead,
+// while a far-side destination still lists near-side sources. The replan
+// must drop what its believed topology cannot connect instead of routing
+// over the missing link; the cross-bridge destination is reported degraded
+// while the bridge is suspected and complete again after readmission.
+TEST(SelfHealingPartitionTest, DefaultRuntimeSurvivesBelievedDisconnection) {
+  // Spacing 10 m, range 15 m: two 2x2 clusters joined only by 1-4.
+  Topology topology({{0, 0}, {10, 0}, {0, 10}, {10, 10},
+                     {24, 0}, {34, 0}, {24, -10}, {34, -10}},
+                    15.0);
+  ASSERT_EQ(topology.link_count(), 6 + 1 + 6);
+  ASSERT_TRUE(topology.AreNeighbors(1, 4));
+  const NodeId base = 0;
+  const NodeId far_destination = 7;
+  const NodeId near_destination = 2;
+  Workload workload;
+  workload.tasks = {Task{far_destination, {2, 3, 5}},
+                    Task{near_destination, {1, 3}}};
+  for (const Task& task : workload.tasks) {
+    FunctionSpec spec;
+    spec.kind = AggregateKind::kWeightedSum;
+    for (NodeId s : task.sources) spec.weights.emplace_back(s, 1.0);
+    workload.specs.push_back(spec);
+  }
+  workload.RebuildFunctions();
+
+  const int bridge_down = 3;
+  const int bridge_up = 13;
+  const int total_rounds = 30;
+  SelfHealingRuntime runtime(topology, workload, base);
+  PlanExecutor original(std::make_shared<CompiledPlan>(runtime.compiled()),
+                        workload.functions, EnergyModel{});
+  const std::pair<NodeId, NodeId> bridge{1, 4};
+  auto contains = [](const std::vector<NodeId>& nodes, NodeId node) {
+    return std::find(nodes.begin(), nodes.end(), node) != nodes.end();
+  };
+  int suspected_rounds = 0;
+  int coverage_below_one_rounds = 0;
+  for (int round = 0; round < total_rounds; ++round) {
+    ReadingGenerator readings(topology.node_count(),
+                              77 + static_cast<uint64_t>(round));
+    const bool down = round >= bridge_down && round < bridge_up;
+    LossyLinkModel physical;
+    physical.attempt_delivers = [down, bridge](NodeId from, NodeId to, int) {
+      return !(down && std::make_pair(std::min(from, to),
+                                      std::max(from, to)) == bridge);
+    };
+    SelfHealingRoundResult result =
+        runtime.RunRound(round, readings.values(), physical);
+    EXPECT_TRUE(result.data.destination_values.contains(near_destination))
+        << "r" << round << ": the near-side task never crosses the bridge";
+
+    const auto& links = runtime.ledger().believed_failed_links();
+    if (std::find(links.begin(), links.end(), bridge) != links.end()) {
+      ++suspected_rounds;
+      EXPECT_TRUE(contains(runtime.ledger().believed_dead(), far_destination));
+      EXPECT_EQ(runtime.current_workload().tasks.size(), 1u)
+          << "r" << round << ": the cut-off task leaves the believed workload";
+      EXPECT_FALSE(result.data.destination_values.contains(far_destination))
+          << "r" << round;
+      EXPECT_TRUE(contains(result.data.incomplete_destinations,
+                           far_destination))
+          << "r" << round;
+      EXPECT_TRUE(result.data.degraded_values.contains(far_destination))
+          << "r" << round;
+      // The ratio reads below 1 until the replanned images land; after
+      // that it counts only pre-agg sites still on the destination's old
+      // epoch, so the missing value is the lasting degradation signal.
+      const double coverage =
+          result.data.destination_coverage.at(far_destination).coverage;
+      if (coverage < 1.0) ++coverage_below_one_rounds;
+    }
+    if (round == total_rounds - 1) {
+      EXPECT_TRUE(links.empty()) << "the healed bridge must be readmitted";
+      EXPECT_EQ(runtime.current_workload().tasks, workload.tasks);
+      EXPECT_TRUE(result.data.incomplete_destinations.empty());
+      const auto& coverage =
+          result.data.destination_coverage.at(far_destination);
+      EXPECT_TRUE(coverage.complete);
+      EXPECT_EQ(coverage.covered, 3);
+      RoundResult expected = original.RunRound(readings.values());
+      for (const auto& [destination, value] : expected.destination_values) {
+        ASSERT_TRUE(result.data.destination_values.contains(destination))
+            << "d" << destination;
+        EXPECT_TRUE(
+            ValuesClose(result.data.destination_values.at(destination), value))
+            << "d" << destination;
+      }
+    }
+  }
+  EXPECT_GE(suspected_rounds, 5);
+  EXPECT_GE(coverage_below_one_rounds, 1);
+}
+
 // --- Failure detector unit tests ---
 
 TEST(FailureDetectorTest, HeartbeatEvidenceSuppressesProbes) {
