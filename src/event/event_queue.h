@@ -32,13 +32,15 @@ struct EventId {
 /// same events in the same order, byte for byte (tests/event_test.cc pins
 /// this with a churn differential).
 ///
-/// Cancellation is *exact*: `Cancel(id)` guarantees the event never fires,
-/// and double-cancel / cancel-after-fire are detected (return false).
-/// Cancelled entries are tombstoned in the heap and physically removed by
-/// compaction once they outnumber live entries, so a workload that
-/// schedules and cancels millions of timers (every acked retransmission
-/// cancels one) keeps the heap at O(live), not O(ever scheduled) — the
-/// ring/eviction discipline the dedup table already follows.
+/// Invariant: `pending_` holds exactly the seqs that are scheduled and have
+/// neither fired nor been cancelled. A heap entry whose seq is not in
+/// `pending_` is a tombstone. Cancellation is therefore *exact* and O(1):
+/// `Cancel(id)` succeeds iff it erases `id.seq`, which rejects
+/// double-cancel, cancel-after-fire and never-issued ids alike. Tombstones
+/// are skipped at the heap top and physically removed by compaction once
+/// they outnumber live entries, so a workload that schedules and cancels
+/// millions of timers (every acked retransmission cancels one) keeps both
+/// the heap and `pending_` at O(live), not O(ever scheduled).
 template <typename E>
 class EventQueue {
  public:
@@ -55,6 +57,7 @@ class EventQueue {
     const uint64_t seq = ++last_seq_;
     heap_.push_back(Entry{time, seq, std::move(payload)});
     std::push_heap(heap_.begin(), heap_.end(), Later);
+    pending_.insert(seq);
     ++scheduled_total_;
     return EventId{seq};
   }
@@ -63,18 +66,16 @@ class EventQueue {
   /// (it will now never fire); false if it already fired, was already
   /// cancelled, or the id is invalid.
   bool Cancel(EventId id) {
-    if (!id.valid() || id.seq > last_seq_) return false;
-    if (id.seq < fired_floor_ || fired_.count(id.seq) > 0) return false;
-    if (!cancelled_.insert(id.seq).second) return false;
+    if (pending_.erase(id.seq) == 0) return false;
     ++cancelled_total_;
     MaybeCompact();
     return true;
   }
 
-  bool empty() const { return size() == 0; }
+  bool empty() const { return pending_.empty(); }
 
   /// Live (pending, uncancelled) events.
-  size_t size() const { return heap_.size() - cancelled_in_heap(); }
+  size_t size() const { return pending_.size(); }
 
   /// Physical heap entries, including tombstones awaiting compaction. The
   /// memory-boundedness regression asserts this stays O(size()).
@@ -94,7 +95,7 @@ class EventQueue {
     std::pop_heap(heap_.begin(), heap_.end(), Later);
     Entry entry = std::move(heap_.back());
     heap_.pop_back();
-    RememberFired(entry.seq);
+    pending_.erase(entry.seq);
     return Fired{entry.time, entry.seq, std::move(entry.payload)};
   }
 
@@ -114,15 +115,18 @@ class EventQueue {
     return a.seq > b.seq;
   }
 
-  size_t cancelled_in_heap() const { return cancelled_.size(); }
+  bool IsTombstone(const Entry& entry) const {
+    return pending_.count(entry.seq) == 0;
+  }
 
-  /// Drops cancelled entries sitting at the heap top so NextTime/Pop only
-  /// ever observe live events.
+  size_t tombstones() const { return heap_.size() - pending_.size(); }
+
+  /// Drops tombstones sitting at the heap top so NextTime/Pop only ever
+  /// observe live events. A queue nothing was cancelled on (every lossy
+  /// round's agenda) pays no set lookup here.
   void SkipTombstones() {
-    while (!heap_.empty() && cancelled_.count(heap_.front().seq) > 0) {
+    while (tombstones() > 0 && IsTombstone(heap_.front())) {
       std::pop_heap(heap_.begin(), heap_.end(), Later);
-      cancelled_.erase(heap_.back().seq);
-      RememberFired(heap_.back().seq);  // Cancelled == consumed.
       heap_.pop_back();
     }
   }
@@ -130,53 +134,20 @@ class EventQueue {
   /// Physically removes tombstones once they dominate the heap. Amortized
   /// O(1) per cancellation; keeps heap memory proportional to live events.
   void MaybeCompact() {
-    if (cancelled_.size() <= heap_.size() / 2 || heap_.size() < 64) return;
-    std::vector<Entry> live;
-    live.reserve(heap_.size() - cancelled_.size());
-    for (Entry& entry : heap_) {
-      if (cancelled_.count(entry.seq) > 0) {
-        RememberFired(entry.seq);  // Consumed by compaction.
-      } else {
-        live.push_back(std::move(entry));
-      }
-    }
-    heap_ = std::move(live);
+    if (tombstones() <= heap_.size() / 2 || heap_.size() < 64) return;
+    heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
+                               [this](const Entry& entry) {
+                                 return IsTombstone(entry);
+                               }),
+                heap_.end());
     std::make_heap(heap_.begin(), heap_.end(), Later);
-    cancelled_.clear();
-  }
-
-  /// Marks a sequence number as consumed so a later Cancel reports false.
-  /// The set is bounded: runs that consume millions of events prune it
-  /// against the live window (every seq below the minimum live seq can be
-  /// summarized by `fired_floor_`).
-  void RememberFired(uint64_t seq) {
-    fired_.insert(seq);
-    if (fired_.size() > 2 * (heap_.size() + 64)) {
-      // Everything at or below the smallest live seq minus one is fired or
-      // cancelled; collapse the prefix into the floor.
-      uint64_t min_live = last_seq_ + 1;
-      for (const Entry& entry : heap_) {
-        min_live = std::min(min_live, entry.seq);
-      }
-      for (auto it = fired_.begin(); it != fired_.end();) {
-        if (*it < min_live) {
-          it = fired_.erase(it);
-        } else {
-          ++it;
-        }
-      }
-      fired_floor_ = min_live;
-    }
   }
 
   friend class EventQueueTestPeer;
 
   std::vector<Entry> heap_;
-  /// Tombstoned (cancelled, still physically in the heap) seqs.
-  std::unordered_set<uint64_t> cancelled_;
-  /// Consumed seqs above `fired_floor_` (for cancel-after-fire detection).
-  std::unordered_set<uint64_t> fired_;
-  uint64_t fired_floor_ = 0;
+  /// Seqs scheduled and neither fired nor cancelled; see the class comment.
+  std::unordered_set<uint64_t> pending_;
   uint64_t last_seq_ = 0;
   uint64_t scheduled_total_ = 0;
   uint64_t cancelled_total_ = 0;

@@ -114,9 +114,10 @@ EventNetwork::PipelineResult EventNetwork::RunPipelined(
     int64_t origin = 0;
   };
   // Every timestep runs on its own clones of the fleet's node runtimes, so
-  // overlapping timesteps never share mutable round state; clones are
-  // freed at retirement, keeping live memory proportional to the pipeline
-  // depth rather than the sweep length.
+  // overlapping timesteps never share mutable round state. Clones are made
+  // at the timestep's first start (no delivery can reach a timestep before
+  // one of its nodes has started) and freed at retirement, keeping live
+  // memory proportional to the pipeline depth rather than the sweep length.
   struct TimestepRun {
     std::vector<NodeRuntime> nodes;
     std::vector<EventNodeRuntime> handlers;
@@ -138,15 +139,6 @@ EventNetwork::PipelineResult EventNetwork::RunPipelined(
 
   for (int t = 0; t < timestep_count; ++t) {
     TimestepRun& run = runs[static_cast<size_t>(t)];
-    run.nodes.reserve(static_cast<size_t>(node_count));
-    for (NodeId n = 0; n < node_count; ++n) {
-      run.nodes.push_back(fleet.node_runtime(n));
-    }
-    run.handlers.reserve(static_cast<size_t>(node_count));
-    for (NodeId n = 0; n < node_count; ++n) {
-      run.handlers.emplace_back(&run.nodes[static_cast<size_t>(n)],
-                                clocks[static_cast<size_t>(n)]);
-    }
     for (NodeId n = 0; n < node_count; ++n) {
       if (!transport.NodeAlive(t, n)) continue;
       run.alive_count += 1;
@@ -163,11 +155,7 @@ EventNetwork::PipelineResult EventNetwork::RunPipelined(
       event.origin = start_tick;
       queue.Schedule(start_tick, event);
     }
-    if (run.alive_count == 0) {
-      run.retired = true;
-      run.nodes.clear();
-      run.handlers.clear();
-    }
+    if (run.alive_count == 0) run.retired = true;
   }
 
   auto maybe_retire = [&](int t, int64_t tick) {
@@ -196,9 +184,11 @@ EventNetwork::PipelineResult EventNetwork::RunPipelined(
         event_metrics_->Observe(event_handles_.pipeline_occupancy, in_flight);
       }
     }
-    run.nodes.clear();
-    run.handlers.clear();
-    run.transfers.clear();
+    // Release the buffers too (clear() keeps capacity), so a retired
+    // timestep holds no memory for the rest of the sweep.
+    run.handlers = std::vector<EventNodeRuntime>();
+    run.nodes = std::vector<NodeRuntime>();
+    run.transfers = std::vector<PTransfer>();
   };
   auto maybe_finalize = [&](int t, size_t index, int64_t tick) {
     TimestepRun& run = runs[static_cast<size_t>(t)];
@@ -238,6 +228,13 @@ EventNetwork::PipelineResult EventNetwork::RunPipelined(
         result.timesteps[static_cast<size_t>(e.timestep)];
     if (!run.live) {
       run.live = true;
+      run.nodes.reserve(static_cast<size_t>(node_count));
+      run.handlers.reserve(static_cast<size_t>(node_count));
+      for (NodeId n = 0; n < node_count; ++n) {
+        run.nodes.push_back(fleet.node_runtime(n));
+        run.handlers.emplace_back(&run.nodes[static_cast<size_t>(n)],
+                                  clocks[static_cast<size_t>(n)]);
+      }
       in_flight += 1;
       result.max_in_flight = std::max(result.max_in_flight, in_flight);
       if (event_metrics_ != nullptr) {

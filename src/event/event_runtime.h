@@ -145,9 +145,10 @@ class EventNetwork {
 
   /// Runs `readings_per_timestep.size()` timesteps asynchronously over
   /// `transport`. Each timestep executes on its own clones of the fleet's
-  /// node runtimes (retired and freed at quiescence), so overlapping
-  /// timesteps never share mutable per-round state; the fleet itself is
-  /// not mutated.
+  /// node runtimes, made when its first node starts and freed when it
+  /// retires at quiescence, so overlapping timesteps never share mutable
+  /// per-round state and live clones number at most the pipeline depth;
+  /// the fleet itself is not mutated.
   PipelineResult RunPipelined(
       const std::vector<std::vector<double>>& readings_per_timestep,
       const Transport& transport, const PipelineOptions& options);

@@ -5,8 +5,8 @@
 //  1. The discrete-event queue itself is deterministic: same-timestamp
 //     events fire in schedule order, cancellation is exact (double-cancel
 //     and cancel-after-fire are detected), and a schedule/cancel churn of
-//     tens of thousands of timers keeps heap memory proportional to the
-//     live set.
+//     tens of thousands of timers keeps heap and seq bookkeeping
+//     proportional to the live set, even behind a long-queued early event.
 //  2. The lossy round, which runs its tick agenda on that queue, is pinned
 //     byte for byte: RuntimeNetwork::RunRoundLossy over 20 seeds and four
 //     channel regimes must reproduce recorded golden digests of its
@@ -47,16 +47,17 @@
 
 namespace m2m::event {
 
-/// White-box access for the memory-boundedness regression.
+/// White-box access for the memory-boundedness regressions.
 class EventQueueTestPeer {
  public:
   template <typename E>
   static size_t TombstoneCount(const EventQueue<E>& queue) {
-    return queue.cancelled_.size();
+    return queue.heap_size() - queue.size();
   }
+  /// Entries in the queue's seq bookkeeping (the pending-seq set).
   template <typename E>
-  static size_t FiredSetSize(const EventQueue<E>& queue) {
-    return queue.fired_.size();
+  static size_t SeqBookkeepingSize(const EventQueue<E>& queue) {
+    return queue.pending_.size();
   }
 };
 
@@ -235,7 +236,7 @@ TEST(EventQueue, ChurnKeepsMemoryBounded) {
   };
   std::vector<EventId> pending;
   size_t max_heap = 0;
-  size_t max_fired = 0;
+  size_t max_bookkeeping = 0;
   for (int i = 0; i < 10000; ++i) {
     pending.push_back(
         queue.Schedule(static_cast<int64_t>(next() % 64) + i, i));
@@ -248,17 +249,54 @@ TEST(EventQueue, ChurnKeepsMemoryBounded) {
       queue.Pop();
     }
     max_heap = std::max(max_heap, queue.heap_size());
-    max_fired = std::max(max_fired,
-                         event::EventQueueTestPeer::FiredSetSize(queue));
+    max_bookkeeping = std::max(max_bookkeeping,
+                               EventQueueTestPeer::SeqBookkeepingSize(queue));
   }
   EXPECT_EQ(queue.scheduled_total(), 10000u);
   EXPECT_GT(queue.cancelled_total(), 7000u);
   // Live events stay small (a handful per iteration survive), so the
-  // physical heap and the fired-set must stay O(live), far below the 10k
-  // ever scheduled.
+  // physical heap and the seq bookkeeping must stay O(live), far below the
+  // 10k ever scheduled.
   EXPECT_LT(max_heap, 600u) << "tombstone compaction failed";
-  EXPECT_LT(max_fired, 1500u) << "fired-set pruning failed";
+  EXPECT_LT(max_bookkeeping, 1500u) << "seq bookkeeping grew with history";
   EXPECT_LE(EventQueueTestPeer::TombstoneCount(queue), queue.heap_size());
+}
+
+TEST(EventQueue, PinnedEarlyEventKeepsBookkeepingBounded) {
+  // RunPipelined's shape: the first event scheduled (a late timestep's
+  // start) stays queued while tens of thousands of later events are
+  // scheduled, popped and cancelled around it. Bookkeeping that can only
+  // summarize seqs below the oldest queued one would grow with every event
+  // fired; the queue must instead track no more seqs than it holds.
+  EventQueue<int> queue;
+  const EventId pinned = queue.Schedule(1000000000, -1);
+  size_t max_bookkeeping = 0;
+  size_t max_heap = 0;
+  for (int i = 0; i < 20000; ++i) {
+    const EventId first = queue.Schedule(i, 2 * i);
+    const EventId second = queue.Schedule(i, 2 * i + 1);
+    if (i % 5 == 0) {
+      EXPECT_TRUE(queue.Cancel(second));
+    }
+    auto popped = queue.Pop();
+    ASSERT_TRUE(popped.has_value());
+    EXPECT_EQ(popped->seq, first.seq);
+    EXPECT_FALSE(queue.Cancel(first)) << "cancel-after-fire must be detected";
+    if (i % 5 != 0) {
+      EXPECT_EQ(queue.Pop()->seq, second.seq);
+    }
+    EXPECT_EQ(queue.size(), 1u);
+    max_bookkeeping = std::max(max_bookkeeping,
+                               EventQueueTestPeer::SeqBookkeepingSize(queue));
+    max_heap = std::max(max_heap, queue.heap_size());
+    ASSERT_LE(EventQueueTestPeer::SeqBookkeepingSize(queue), queue.heap_size())
+        << "seq bookkeeping outgrew the heap at iteration " << i;
+  }
+  EXPECT_EQ(max_bookkeeping, 1u);
+  EXPECT_LE(max_heap, 3u);
+  EXPECT_EQ(queue.Pop()->seq, pinned.seq);
+  EXPECT_TRUE(queue.empty());
+  EXPECT_EQ(queue.heap_size(), 0u);
 }
 
 TEST(EventQueue, ChurnReplayIsByteStable) {
@@ -587,6 +625,25 @@ std::vector<std::unordered_map<NodeId, double>> RoundOracle(
   return oracle;
 }
 
+/// Asserts every timestep completed every destination with its oracle value.
+void ExpectMatchesOracle(
+    const EventNetwork::PipelineResult& result,
+    const std::vector<std::unordered_map<NodeId, double>>& oracle) {
+  ASSERT_EQ(result.timesteps.size(), oracle.size());
+  for (size_t t = 0; t < result.timesteps.size(); ++t) {
+    const auto& step = result.timesteps[t];
+    EXPECT_TRUE(step.incomplete_destinations.empty()) << "t=" << t;
+    ASSERT_EQ(step.destination_values.size(), oracle[t].size()) << "t=" << t;
+    for (const auto& [d, v] : oracle[t]) {
+      auto it = step.destination_values.find(d);
+      ASSERT_NE(it, step.destination_values.end()) << "t=" << t << " d=" << d;
+      EXPECT_TRUE(ValuesClose(it->second, v))
+          << "t=" << t << " d=" << d << " got " << it->second << " want "
+          << v;
+    }
+  }
+}
+
 TEST(Pipelined, SequentialScheduleMatchesRoundOracle) {
   const uint64_t seed = 5;
   Topology topology = TestTopology(seed);
@@ -616,25 +673,53 @@ TEST(Pipelined, SequentialScheduleMatchesRoundOracle) {
 
   ASSERT_EQ(result.timesteps.size(), 4u);
   EXPECT_EQ(result.max_in_flight, 1);
-  std::vector<std::unordered_map<NodeId, double>> oracle =
-      RoundOracle(fleet, readings_per_timestep);
-  for (size_t t = 0; t < result.timesteps.size(); ++t) {
-    const auto& step = result.timesteps[t];
-    EXPECT_TRUE(step.incomplete_destinations.empty());
-    ASSERT_EQ(step.destination_values.size(), oracle[t].size());
-    for (const auto& [d, v] : oracle[t]) {
-      auto it = step.destination_values.find(d);
-      ASSERT_NE(it, step.destination_values.end()) << "d=" << d;
-      EXPECT_TRUE(ValuesClose(it->second, v))
-          << "t=" << t << " d=" << d << " got " << it->second << " want "
-          << v;
-    }
+  ExpectMatchesOracle(result, RoundOracle(fleet, readings_per_timestep));
+  for (const auto& step : result.timesteps) {
     EXPECT_GE(step.start_tick, 0);
     EXPECT_GT(step.retire_tick, step.start_tick);
   }
   // Clean transport: every first attempt is acked, so every retransmit
   // timer armed was cancelled exactly.
   EXPECT_GT(result.retransmit_timers_cancelled, 0u);
+}
+
+TEST(Pipelined, LongSweepMatchesRoundOracle) {
+  // A sweep far longer than the pipeline is deep: with one timestep in
+  // flight at a time, each timestep's fleet clone is made at its first
+  // start and freed at its retirement, and every aggregate of all 64
+  // timesteps must still match the round oracle.
+  const uint64_t seed = 7;
+  Topology topology = TestTopology(seed);
+  Workload workload = TestWorkload(topology, seed);
+  CompiledPlan compiled = TestPlan(topology, workload);
+  RuntimeNetwork fleet(compiled, workload.functions);
+  EventNetwork engine(fleet);
+
+  std::vector<std::vector<double>> readings_per_timestep;
+  for (int t = 0; t < 64; ++t) {
+    readings_per_timestep.push_back(
+        ReadingGenerator(topology.node_count(),
+                         seed * 700 + static_cast<uint64_t>(t))
+            .values());
+  }
+
+  SimChannelTransport::Options transport_options;
+  transport_options.base_hop_latency_ticks = 1;
+  SimChannelTransport transport(nullptr, transport_options);
+
+  EventNetwork::PipelineOptions options;
+  options.timestep_interval_ticks = 4096;
+  EventNetwork::PipelineResult result =
+      engine.RunPipelined(readings_per_timestep, transport, options);
+
+  ASSERT_EQ(result.timesteps.size(), 64u);
+  EXPECT_EQ(result.max_in_flight, 1);
+  ExpectMatchesOracle(result, RoundOracle(fleet, readings_per_timestep));
+  for (size_t t = 1; t < result.timesteps.size(); ++t) {
+    EXPECT_GT(result.timesteps[t].start_tick,
+              result.timesteps[t - 1].retire_tick)
+        << "t=" << t;
+  }
 }
 
 TEST(Pipelined, DriftOverlapsTimestepsAndPreservesAggregates) {
@@ -676,20 +761,9 @@ TEST(Pipelined, DriftOverlapsTimestepsAndPreservesAggregates) {
   ASSERT_EQ(result.timesteps.size(), 6u);
   EXPECT_GE(result.max_in_flight, 2)
       << "pipelining must overlap timesteps under drift";
-  std::vector<std::unordered_map<NodeId, double>> oracle =
-      RoundOracle(fleet, readings_per_timestep);
+  ExpectMatchesOracle(result, RoundOracle(fleet, readings_per_timestep));
   int64_t buffered_total = 0;
-  for (size_t t = 0; t < result.timesteps.size(); ++t) {
-    const auto& step = result.timesteps[t];
-    EXPECT_TRUE(step.incomplete_destinations.empty()) << "t=" << t;
-    ASSERT_EQ(step.destination_values.size(), oracle[t].size()) << "t=" << t;
-    for (const auto& [d, v] : oracle[t]) {
-      auto it = step.destination_values.find(d);
-      ASSERT_NE(it, step.destination_values.end()) << "t=" << t << " d=" << d;
-      EXPECT_TRUE(ValuesClose(it->second, v))
-          << "t=" << t << " d=" << d << " got " << it->second << " want "
-          << v;
-    }
+  for (const auto& step : result.timesteps) {
     buffered_total += step.buffered_prestart;
   }
   EXPECT_GE(buffered_total, 0);
