@@ -5,46 +5,11 @@
 #include <utility>
 
 #include "common/check.h"
+#include "event/event_queue.h"
+#include "runtime/node_runtime.h"
 #include "runtime/wire_functions.h"
 
 namespace m2m::event {
-
-EventNodeRuntime::EventNodeRuntime(NodeRuntime* node, VirtualClock clock)
-    : node_(node), clock_(clock) {
-  M2M_CHECK(node != nullptr);
-}
-
-std::vector<NodeRuntime::OutgoingPacket> EventNodeRuntime::HandleTimestepStart(
-    double reading) {
-  node_->StartRound(reading);
-  started_ = true;
-  // Replay the pre-start mailbox in arrival order: the dedup/epoch gates
-  // apply exactly as they would have for an in-round arrival.
-  for (BufferedMessage& buffered : buffer_) {
-    node_->OnReceiveOnce(buffered.sender, buffered.message_id, buffered.epoch,
-                         buffered.payload, buffered.tick);
-  }
-  buffer_.clear();
-  return node_->DrainReadyPackets();
-}
-
-EventNodeRuntime::MessageResult EventNodeRuntime::HandleMessage(
-    NodeId sender, int message_id, uint32_t epoch,
-    const std::vector<uint8_t>& payload, int tick) {
-  MessageResult result;
-  if (!started_) {
-    result.buffered = true;
-    buffer_.push_back(
-        BufferedMessage{sender, message_id, epoch, payload, tick});
-    return result;
-  }
-  result.outcome = node_->OnReceiveOnce(sender, message_id, epoch, payload,
-                                        tick);
-  if (result.outcome == NodeRuntime::ReceiveOutcome::kFresh) {
-    result.emitted = node_->DrainReadyPackets();
-  }
-  return result;
-}
 
 EventNetwork::EventNetwork(const RuntimeNetwork& fleet) : fleet_(&fleet) {}
 
@@ -113,6 +78,12 @@ EventNetwork::PipelineResult EventNetwork::RunPipelined(
     uint32_t corrupt_bit = 0;
     int64_t origin = 0;
   };
+  // A delivery that reached its recipient before the recipient's local
+  // start of the timestep; replayed from the transfer once the node starts.
+  struct PrestartArrival {
+    size_t index = 0;
+    int tick = 0;
+  };
   // Every timestep runs on its own clones of the fleet's node runtimes, so
   // overlapping timesteps never share mutable round state. Clones are made
   // at the timestep's first start (no delivery can reach a timestep before
@@ -120,7 +91,10 @@ EventNetwork::PipelineResult EventNetwork::RunPipelined(
   // memory proportional to the pipeline depth rather than the sweep length.
   struct TimestepRun {
     std::vector<NodeRuntime> nodes;
-    std::vector<EventNodeRuntime> handlers;
+    /// Per node: whether it has started this timestep, and its pre-start
+    /// mailbox in arrival order.
+    std::vector<bool> started;
+    std::vector<std::vector<PrestartArrival>> mailboxes;
     std::vector<PTransfer> transfers;
     size_t done_count = 0;
     int started_count = 0;
@@ -186,11 +160,12 @@ EventNetwork::PipelineResult EventNetwork::RunPipelined(
     }
     // Release the buffers too (clear() keeps capacity), so a retired
     // timestep holds no memory for the rest of the sweep.
-    run.handlers = std::vector<EventNodeRuntime>();
     run.nodes = std::vector<NodeRuntime>();
+    run.started = std::vector<bool>();
+    run.mailboxes = std::vector<std::vector<PrestartArrival>>();
     run.transfers = std::vector<PTransfer>();
   };
-  auto maybe_finalize = [&](int t, size_t index, int64_t tick) {
+  auto maybe_finalize = [&](int t, size_t index) {
     TimestepRun& run = runs[static_cast<size_t>(t)];
     PTransfer& tr = run.transfers[index];
     if (tr.done) return;
@@ -205,7 +180,6 @@ EventNetwork::PipelineResult EventNetwork::RunPipelined(
         result.timesteps[static_cast<size_t>(t)].messages_abandoned += 1;
       }
     }
-    (void)tick;
   };
   auto add_transfer = [&](int t, NodeId sender,
                           NodeRuntime::OutgoingPacket packet, int64_t tick,
@@ -229,12 +203,11 @@ EventNetwork::PipelineResult EventNetwork::RunPipelined(
     if (!run.live) {
       run.live = true;
       run.nodes.reserve(static_cast<size_t>(node_count));
-      run.handlers.reserve(static_cast<size_t>(node_count));
       for (NodeId n = 0; n < node_count; ++n) {
         run.nodes.push_back(fleet.node_runtime(n));
-        run.handlers.emplace_back(&run.nodes[static_cast<size_t>(n)],
-                                  clocks[static_cast<size_t>(n)]);
       }
+      run.started.assign(static_cast<size_t>(node_count), false);
+      run.mailboxes.resize(static_cast<size_t>(node_count));
       in_flight += 1;
       result.max_in_flight = std::max(result.max_in_flight, in_flight);
       if (event_metrics_ != nullptr) {
@@ -242,10 +215,22 @@ EventNetwork::PipelineResult EventNetwork::RunPipelined(
       }
       if (stats.start_tick < 0) stats.start_tick = tick;
     }
+    NodeRuntime& node = run.nodes[static_cast<size_t>(e.node)];
+    node.StartRound(readings_per_timestep[static_cast<size_t>(e.timestep)]
+                                         [static_cast<size_t>(e.node)]);
+    run.started[static_cast<size_t>(e.node)] = true;
+    // Replay the pre-start mailbox in arrival order: the dedup and epoch
+    // gates apply exactly as they would have to an in-round arrival.
+    std::vector<PrestartArrival>& mailbox =
+        run.mailboxes[static_cast<size_t>(e.node)];
+    for (const PrestartArrival& arrival : mailbox) {
+      const PTransfer& tr = run.transfers[arrival.index];
+      node.OnReceiveOnce(tr.sender, tr.packet.local_message_id, tr.epoch,
+                         tr.packet.payload, arrival.tick);
+    }
+    mailbox.clear();
     std::vector<NodeRuntime::OutgoingPacket> packets =
-        run.handlers[static_cast<size_t>(e.node)].HandleTimestepStart(
-            readings_per_timestep[static_cast<size_t>(e.timestep)]
-                                 [static_cast<size_t>(e.node)]);
+        node.DrainReadyPackets();
     run.started_count += 1;
     for (NodeRuntime::OutgoingPacket& packet : packets) {
       add_transfer(e.timestep, e.node, std::move(packet), tick, tick);
@@ -263,7 +248,7 @@ EventNetwork::PipelineResult EventNetwork::RunPipelined(
       run.pending_total -= 1;
       tr.retransmit_timer = EventId{};
       if (tr.acked || tr.done) {
-        maybe_finalize(t, e.index, tick);
+        maybe_finalize(t, e.index);
         maybe_retire(t, tick);
         return;
       }
@@ -337,7 +322,7 @@ EventNetwork::PipelineResult EventNetwork::RunPipelined(
       tr.retransmit_timer =
           queue.Schedule(tick + retry.BackoffWaitTicks(attempt), rt);
     }
-    maybe_finalize(t, e.index, tick);
+    maybe_finalize(t, e.index);
     maybe_retire(t, tick);
   };
 
@@ -360,27 +345,30 @@ EventNetwork::PipelineResult EventNetwork::RunPipelined(
       frame[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
       if (!wire::TryOpenCrc32Frame(frame).has_value()) {
         stats.corrupt_frames += 1;
-        maybe_finalize(t, e.index, tick);
+        maybe_finalize(t, e.index);
         maybe_retire(t, tick);
         return;
       }
     }
     stats.deliveries += 1;
-    EventNodeRuntime::MessageResult received =
-        run.handlers[static_cast<size_t>(recipient)].HandleMessage(
-            sender, message_id, run.transfers[e.index].epoch,
-            run.transfers[e.index].packet.payload, static_cast<int>(tick));
-    if (received.buffered) {
+    if (!run.started[static_cast<size_t>(recipient)]) {
       // The recipient's local clock has not released this timestep yet; the
       // link layer accepted the frame into the mailbox, so it acks below
       // and the sender stops retrying.
+      run.mailboxes[static_cast<size_t>(recipient)].push_back(
+          PrestartArrival{e.index, static_cast<int>(tick)});
       stats.buffered_prestart += 1;
       run.transfers[e.index].delivered_once = true;
     } else {
-      switch (received.outcome) {
+      NodeRuntime& node = run.nodes[static_cast<size_t>(recipient)];
+      switch (node.OnReceiveOnce(sender, message_id,
+                                 run.transfers[e.index].epoch,
+                                 run.transfers[e.index].packet.payload,
+                                 static_cast<int>(tick))) {
         case NodeRuntime::ReceiveOutcome::kFresh:
           run.transfers[e.index].delivered_once = true;
-          for (NodeRuntime::OutgoingPacket& packet : received.emitted) {
+          for (NodeRuntime::OutgoingPacket& packet :
+               node.DrainReadyPackets()) {
             add_transfer(t, recipient, std::move(packet), tick, tick + 1);
           }
           break;
@@ -419,7 +407,7 @@ EventNetwork::PipelineResult EventNetwork::RunPipelined(
       ack.origin = tick;
       queue.Schedule(tick + ack_latency + ack_delay, ack);
     }
-    maybe_finalize(t, e.index, tick);
+    maybe_finalize(t, e.index);
     maybe_retire(t, tick);
   };
 
@@ -445,7 +433,7 @@ EventNetwork::PipelineResult EventNetwork::RunPipelined(
       }
       tr.retransmit_timer = EventId{};
     }
-    maybe_finalize(t, e.index, tick);
+    maybe_finalize(t, e.index);
     maybe_retire(t, tick);
   };
 

@@ -7,88 +7,28 @@
 
 #include "common/ids.h"
 #include "event/clock.h"
-#include "event/event_queue.h"
 #include "event/transport.h"
 #include "obs/metrics.h"
 #include "runtime/network.h"
-#include "runtime/node_runtime.h"
 
 namespace m2m::event {
 
-/// One compiled node program re-expressed as event handlers (the
-/// Yggdrasil-style decomposition: the dispatcher owns time, the node owns
-/// reactions). The underlying NodeRuntime is exactly the table-driven state
-/// machine the round runtime executes — this wrapper adds the two things an
-/// asynchronous schedule needs and a lockstep round never did:
-///
-///   - a per-node VirtualClock, so "start timestep t" is a *local*-time
-///     timer that the engine converts onto the global event line, and
-///   - a pre-start mailbox: under drift a fast neighbor's packet can arrive
-///     before this node has started the timestep; the handler buffers it
-///     and replays the mailbox in arrival order right after the local
-///     round start (NodeRuntime rejects receives outside an active round).
-class EventNodeRuntime {
- public:
-  /// `node` is borrowed and must outlive the wrapper.
-  explicit EventNodeRuntime(NodeRuntime* node,
-                            VirtualClock clock = VirtualClock{});
-
-  NodeRuntime& node() { return *node_; }
-  const NodeRuntime& node() const { return *node_; }
-  const VirtualClock& clock() const { return clock_; }
-  bool started() const { return started_; }
-  size_t buffered_count() const { return buffer_.size(); }
-
-  /// Timer handler for the local timestep-start event: starts the round
-  /// with this node's reading, replays buffered pre-start arrivals in
-  /// arrival order, and returns every packet that became ready.
-  std::vector<NodeRuntime::OutgoingPacket> HandleTimestepStart(
-      double reading);
-
-  struct MessageResult {
-    /// Receive outcome; meaningful only when `buffered` is false.
-    NodeRuntime::ReceiveOutcome outcome =
-        NodeRuntime::ReceiveOutcome::kDuplicate;
-    /// True when the node had not started the timestep yet: the payload
-    /// went to the mailbox and `outcome`/`emitted` are empty.
-    bool buffered = false;
-    /// Packets that became ready from a fresh receive.
-    std::vector<NodeRuntime::OutgoingPacket> emitted;
-  };
-
-  /// Message-delivery handler: duplicate-suppressing, epoch-gated receive
-  /// (or mailbox buffering before the local round start).
-  MessageResult HandleMessage(NodeId sender, int message_id, uint32_t epoch,
-                              const std::vector<uint8_t>& payload, int tick);
-
- private:
-  struct BufferedMessage {
-    NodeId sender = kInvalidNode;
-    int message_id = -1;
-    uint32_t epoch = 0;
-    std::vector<uint8_t> payload;
-    int tick = 0;
-  };
-
-  NodeRuntime* node_;
-  VirtualClock clock_;
-  bool started_ = false;
-  std::vector<BufferedMessage> buffer_;
-};
-
 /// Event-driven execution engine over a RuntimeNetwork fleet: a
-/// deterministic discrete-event dispatcher (EventQueue) driving
-/// EventNodeRuntime handlers through a pluggable Transport, instead of the
-/// global round barrier.
+/// deterministic discrete-event dispatcher (EventQueue) driving the
+/// compiled NodeRuntime state machines through a pluggable Transport,
+/// instead of the global round barrier.
 ///
 /// `RunPipelined` is genuinely asynchronous execution the round model
 /// cannot express. Per-node virtual clocks release timestep starts on each
 /// node's *local* schedule, per-hop latency puts deliveries on the global
 /// event line, and multiple timesteps overlap in flight (block-computation
-/// pipelining); retirement is per-timestep quiescence. Retransmit timers
-/// are cancelled exactly when the ack lands — the event queue's Cancel in
-/// anger. (Lockstep lossy rounds run on the same EventQueue inside
-/// `RuntimeNetwork::RunRoundLossy`.)
+/// pipelining); retirement is per-timestep quiescence. Under drift a fast
+/// neighbor's packet can reach a node before its local timestep start; the
+/// engine holds it in a per-node pre-start mailbox and replays the mailbox
+/// in arrival order right after the start (NodeRuntime rejects receives
+/// outside an active round). Retransmit timers are cancelled exactly when
+/// the ack lands — the event queue's Cancel in anger. (Lockstep lossy
+/// rounds run on the same EventQueue inside `RuntimeNetwork::RunRoundLossy`.)
 ///
 /// The engine borrows the fleet's images and epochs; it never mutates the
 /// fleet, so pipelined batches and round-based execution can be

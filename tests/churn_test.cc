@@ -143,10 +143,16 @@ TEST_P(ChurnDifferential, IncrementalEqualsFromScratchAfterEveryMutation) {
       ChurnSchedule::Generate(topology, initial, {base}, churn_options);
 
   int admitted = 0;
+  UpdateStats source_churn;
   for (const ChurnEvent& event : schedule.events()) {
     MutationResult result = ApplyChurnEvent(manager, event);
     if (!result.decision.admitted) continue;
     ++admitted;
+    if (event.type == ChurnType::kAddSource ||
+        event.type == ChurnType::kRemoveSource) {
+      source_churn.edges_reused += result.replan.edges_reused;
+      source_churn.edges_reoptimized += result.replan.edges_reoptimized;
+    }
 
     // Corollary 1 accounting: the edges the plan actually changed on are a
     // subset of the predicted perturbation set for this workload delta.
@@ -169,6 +175,12 @@ TEST_P(ChurnDifferential, IncrementalEqualsFromScratchAfterEveryMutation) {
     EXPECT_TRUE(ValidatePlanConsistency(manager.plan())) << "seed " << seed;
   }
   EXPECT_GT(admitted, 0) << "seed " << seed;
+  // Corollary 1 locality: a source joining or leaving a query perturbs only
+  // the edges on its own routes, so source churn reuses far more edges than
+  // it re-solves.
+  EXPECT_GT(source_churn.edges_reused, 5 * source_churn.edges_reoptimized)
+      << "seed " << seed << ": " << source_churn.edges_reused << " reused, "
+      << source_churn.edges_reoptimized << " re-optimized";
 
   // Replay determinism: the same schedule against a fresh manager lands on
   // byte-identical state.
