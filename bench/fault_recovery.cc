@@ -119,8 +119,9 @@ int main(int argc, char** argv) {
   }
   bench::EmitTable("fault_recovery_overhead",
                    "GDI topology, all links flaky for one round; "
-                   "stop-and-wait ack/retry, 8 attempts, clean-round energy "
-                   "baseline " +
+                   "stop-and-wait ack/retry, 8 attempts; energy_x is over "
+                   "the clean round's energy including its header-only "
+                   "acks, " +
                        Table::Num(reference.energy_mj) + " mJ",
                    overhead);
 

@@ -338,17 +338,13 @@ EventNetwork::PipelineResult EventNetwork::RunPipelined(
     const std::vector<NodeId>& segment =
         fleet.node_message_segments(sender)[message_id];
 
-    if (e.corrupt) {
-      std::vector<uint8_t> frame =
-          wire::FrameWithCrc32(run.transfers[e.index].packet.payload);
-      size_t bit = e.corrupt_bit % (frame.size() * 8);
-      frame[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
-      if (!wire::TryOpenCrc32Frame(frame).has_value()) {
-        stats.corrupt_frames += 1;
-        maybe_finalize(t, e.index);
-        maybe_retire(t, tick);
-        return;
-      }
+    if (e.corrupt && wire::CorruptedFrameRejected(
+                         run.transfers[e.index].packet.payload,
+                         e.corrupt_bit)) {
+      stats.corrupt_frames += 1;
+      maybe_finalize(t, e.index);
+      maybe_retire(t, tick);
+      return;
     }
     stats.deliveries += 1;
     if (!run.started[static_cast<size_t>(recipient)]) {

@@ -23,6 +23,133 @@ int ShardOfNode(NodeId node, int shard_count, int64_t node_count) {
                           node_count);
 }
 
+/// One in-flight message instance per emitted packet; retransmissions
+/// reuse the instance with a bumped attempt counter.
+struct Transfer {
+  NodeId sender = kInvalidNode;
+  NodeRuntime::OutgoingPacket packet;
+  uint32_t epoch = 0;  ///< Sender's plan epoch, stamped at emission.
+  int attempts_made = 0;
+  bool delivered_once = false;
+  bool acked = false;
+  /// Final verdict recorded (attempts histogram, abandoned accounting).
+  bool done = false;
+  /// Delayed deliveries/acks of this message still in flight.
+  int pending_events = 0;
+  /// Scheduled retransmissions not yet popped (a pop after the ack lands
+  /// is skipped, so these must block the final abandoned verdict).
+  int pending_retransmits = 0;
+  /// Highest attempt index whose copy has arrived (reorder detection).
+  int last_arrival_attempt = 0;
+};
+
+/// One agenda entry. The agenda holds every future action:
+/// (re)transmissions, plus — under an adversarial channel — delayed packet
+/// arrivals and delayed acks. With a clean channel only kTransmit events
+/// exist and the schedule is tick-for-tick stop-and-wait. The queue pops
+/// in (tick, schedule-seq) order, which is exactly the tick-ascending,
+/// append-ordered walk of per-tick vectors — the round barrier is a
+/// special case of the discrete-event engine.
+struct Event {
+  enum class Kind : uint8_t { kTransmit, kDeliver, kAckArrive };
+  Kind kind = Kind::kTransmit;
+  size_t index = 0;
+  int attempt = 0;          ///< kDeliver/kAckArrive: producing attempt.
+  bool retransmit = false;  ///< kTransmit: skip if already acked/done.
+  bool corrupt = false;
+  uint32_t corrupt_bit = 0;
+  bool is_dup = false;  ///< Channel-duplicated copy, not a retry.
+};
+
+/// Deferred effects of one event. When the tick loop runs sharded, each
+/// event mutates only its own transfer and its recipient node's state
+/// inline, and records every write to shared round state — result
+/// counters, energy terms, heard-evidence, metric/trace records, agenda
+/// appends, and packet emissions — into its Fx. The merge applies the
+/// records serially in original event order, reproducing the serial
+/// path's floating-point addition order, trace byte order, and agenda
+/// order exactly (THEORY.md §12). In serial mode each Fx is applied
+/// immediately after its event.
+struct Fx {
+  int64_t attempts = 0;
+  int64_t deliveries = 0;
+  int64_t duplicates = 0;
+  int64_t retransmissions = 0;
+  int64_t acks_lost = 0;
+  int64_t messages_abandoned = 0;
+  int64_t epoch_rejected = 0;
+  int64_t payload_bytes = 0;
+  int64_t corrupt_frames = 0;
+  int64_t spontaneous_duplicates = 0;
+  int64_t reordered_deliveries = 0;
+  /// Energy deltas, replayed with += in recorded order (floating-point
+  /// addition does not commute; the order is part of the byte-identity
+  /// contract).
+  std::vector<double> energy_terms;
+  /// Per-node energy attribution (mJ terms), recorded only when per-node
+  /// tracking is on. Kept separate from `energy_terms` so the total's
+  /// accumulation order is untouched.
+  std::vector<std::pair<NodeId, double>> node_energy_terms;
+  std::vector<std::pair<NodeId, NodeId>> heard;
+  struct MetricOp {
+    enum class Kind : uint8_t { kAdd, kAddNode, kAddEdge, kObserve };
+    Kind kind = Kind::kAdd;
+    obs::MetricHandle handle;
+    NodeId a = kInvalidNode;  ///< Node (kAddNode) or from (kAddEdge).
+    NodeId b = kInvalidNode;  ///< To (kAddEdge).
+    int64_t value = 0;
+  };
+  std::vector<MetricOp> metric_ops;
+  struct TraceOp {
+    bool give_up = false;
+    int tick = 0;
+    NodeId from = kInvalidNode;
+    NodeId to = kInvalidNode;
+    int message_id = 0;
+    int attempt = 0;
+    int payload = 0;
+    obs::SendOutcome outcome = obs::SendOutcome::kRx;
+    bool ack_lost = false;
+    int drop_hop = 0;
+  };
+  std::vector<TraceOp> trace_ops;
+  /// An emitted packet: becomes a new transfer plus its first transmit
+  /// event at `tick`.
+  struct Emission {
+    NodeId sender = kInvalidNode;
+    NodeRuntime::OutgoingPacket packet;
+    uint32_t epoch = 0;
+    int tick = 0;
+  };
+  /// Agenda appends and emissions interleave within one event (an arrival
+  /// can emit packets before scheduling its ack), so they share one
+  /// ordered op list.
+  struct Op {
+    bool emit = false;
+    int tick = 0;
+    Event event;        ///< !emit: appended verbatim at `tick`.
+    Emission emission;  ///< emit: new transfer + first transmit.
+  };
+  std::vector<Op> ops;
+
+  void Schedule(int tick, const Event& event) {
+    Op op;
+    op.tick = tick;
+    op.event = event;
+    ops.push_back(std::move(op));
+  }
+};
+
+/// What one transmission attempt's forward walk along its segment saw.
+struct ForwardWalk {
+  bool delivered = false;
+  int hops_crossed = 0;
+  int delay = 0;
+  bool duplicate = false;
+  bool corrupt = false;
+  uint32_t corrupt_bit = 0;
+};
+
 }  // namespace
 
 int64_t RetryPolicy::BackoffWaitTicks(int attempt) const {
@@ -52,17 +179,14 @@ RuntimeNetwork::RuntimeNetwork(const CompiledPlan& compiled,
   std::vector<std::vector<uint8_t>> images =
       EncodeAllNodeStates(compiled, functions);
   nodes_.reserve(images.size());
-  message_hops_.resize(images.size());
   message_segments_.resize(images.size());
   for (NodeId n = 0; n < compiled.node_count(); ++n) {
     installed_image_bytes_ += static_cast<int64_t>(images[n].size());
     nodes_.emplace_back(n, images[n]);
-    // Hop counts by node-local message id (images index outgoing messages
-    // by their position in the outgoing table).
+    // Segments by node-local message id (images index outgoing messages by
+    // their position in the outgoing table).
     for (const OutgoingMessageEntry& entry :
          compiled.state(n).outgoing_table) {
-      message_hops_[n].push_back(
-          static_cast<int>(entry.segment.size()) - 1);
       message_segments_[n].push_back(entry.segment);
     }
   }
@@ -85,8 +209,12 @@ void RuntimeNetwork::set_metrics(obs::MetricsRegistry* metrics) {
   handles_.epoch_gate_drops = metrics_->Counter("runtime.epoch_gate_drops");
   handles_.messages_abandoned =
       metrics_->Counter("runtime.messages_abandoned");
-  handles_.tx_packets = metrics_->Counter("runtime.tx_packets");
-  handles_.delivery_passes = metrics_->Counter("runtime.delivery_passes");
+  // Registered but never recorded: the registry's JSON lists every
+  // registered metric in order, and the recorded lossy-round digests
+  // (RoundLossyGolden) hash that JSON, so these two stay until those
+  // digests are re-recorded.
+  metrics_->Counter("runtime.tx_packets");
+  metrics_->Counter("runtime.delivery_passes");
   handles_.attempts_per_message =
       metrics_->Histogram("runtime.attempts_per_message");
   handles_.round_ticks = metrics_->Histogram("runtime.round_ticks");
@@ -113,12 +241,10 @@ bool RuntimeNetwork::InstallNodeImage(NodeId node,
   const size_t outgoing = nodes_[node].decoded().state.outgoing_table.size();
   M2M_CHECK_EQ(segments.size(), outgoing)
       << "node " << node << ": segment routes do not match outgoing table";
-  message_hops_[node].clear();
-  message_segments_[node] = std::move(segments);
-  for (const std::vector<NodeId>& segment : message_segments_[node]) {
+  for (const std::vector<NodeId>& segment : segments) {
     M2M_CHECK_GE(segment.size(), 2u);
-    message_hops_[node].push_back(static_cast<int>(segment.size()) - 1);
   }
+  message_segments_[node] = std::move(segments);
   if (metrics_ != nullptr) {
     metrics_->AddNode(handles_.installs, node, 1);
     metrics_->AddNode(handles_.install_bytes, node,
@@ -145,109 +271,96 @@ const std::vector<std::vector<NodeId>>& RuntimeNetwork::node_message_segments(
 
 RuntimeNetwork::Result RuntimeNetwork::RunRound(
     const std::vector<double>& readings, const EnergyModel& energy) {
-  M2M_CHECK_EQ(readings.size(), nodes_.size());
-  Result result;
-
-  struct InFlight {
-    NodeId sender;
-    NodeRuntime::OutgoingPacket packet;
-  };
-  const int64_t node_count = static_cast<int64_t>(nodes_.size());
-
-  // Round start touches every node exactly once, so node-id ranges shard
-  // freely; merging drained packets in node-id order reproduces the serial
-  // emission order byte for byte.
-  std::vector<std::vector<NodeRuntime::OutgoingPacket>> drained(
-      nodes_.size());
-  ParallelFor(node_count, [&](int64_t begin, int64_t end) {
-    for (int64_t n = begin; n < end; ++n) {
-      nodes_[n].StartRound(readings[n]);
-      drained[n] = nodes_[n].DrainReadyPackets();
-    }
-  });
-  std::vector<InFlight> batch;
-  for (int64_t n = 0; n < node_count; ++n) {
-    for (NodeRuntime::OutgoingPacket& packet : drained[n]) {
-      batch.push_back(InFlight{static_cast<NodeId>(n), std::move(packet)});
-    }
-  }
-
-  while (!batch.empty()) {
-    ++result.delivery_passes;
-    // Parallel phase: deliveries bucket by recipient region, so each
-    // node's state is mutated by exactly one shard, in original batch
-    // order. Only the recipient's OnReceive/drain runs here; accounting,
-    // metrics, and next-batch assembly happen in the serial merge below in
-    // flight order, so the result — including the next pass's packet
-    // order — is byte-identical to the serial walk for any shard count.
-    std::vector<std::vector<NodeRuntime::OutgoingPacket>> emitted(
-        batch.size());
-    auto deliver = [&](size_t i) {
-      NodeRuntime& recipient = nodes_[batch[i].packet.recipient];
-      recipient.OnReceive(batch[i].packet.payload);
-      emitted[i] = recipient.DrainReadyPackets();
-    };
-    ThreadPool* pool = GlobalThreadPool();
-    const int shard_count =
-        pool == nullptr
-            ? 1
-            : static_cast<int>(std::min<int64_t>(GlobalShardCount(),
-                                                 node_count));
-    if (shard_count <= 1) {
-      for (size_t i = 0; i < batch.size(); ++i) deliver(i);
-    } else {
-      std::vector<std::vector<size_t>> buckets(shard_count);
-      for (size_t i = 0; i < batch.size(); ++i) {
-        buckets[ShardOfNode(batch[i].packet.recipient, shard_count,
-                            node_count)]
-            .push_back(i);
-      }
-      pool->RunShards(shard_count, [&](int s) {
-        for (size_t i : buckets[s]) deliver(i);
-      });
-    }
-
-    std::vector<InFlight> next;
-    for (size_t i = 0; i < batch.size(); ++i) {
-      const InFlight& flight = batch[i];
-      int payload = static_cast<int>(flight.packet.payload.size());
-      int hops =
-          message_hops_[flight.sender][flight.packet.local_message_id];
-      result.packets += 1;
-      result.payload_bytes += payload;
-      result.energy_mj += hops * energy.UnicastHopUj(payload) / 1000.0;
-      if (metrics_ != nullptr) {
-        metrics_->AddNode(handles_.tx_packets, flight.sender, 1);
-        metrics_->AddNode(handles_.tx_bytes, flight.sender, payload);
-        metrics_->AddNode(handles_.rx_packets, flight.packet.recipient, 1);
-        metrics_->AddNode(handles_.rx_bytes, flight.packet.recipient,
-                          payload);
-      }
-      for (NodeRuntime::OutgoingPacket& packet : emitted[i]) {
-        next.push_back(
-            InFlight{flight.packet.recipient, std::move(packet)});
-      }
-    }
-    batch = std::move(next);
-  }
-  if (metrics_ != nullptr) {
-    metrics_->Add(handles_.delivery_passes, result.delivery_passes);
-  }
-
-  for (const NodeRuntime& node : nodes_) {
-    if (!node.is_destination()) continue;
-    std::optional<double> value = node.FinalValue();
-    M2M_CHECK(value.has_value())
-        << "destination " << node.id() << " never completed its aggregate";
-    result.destination_values[node.id()] = *value;
-  }
+  LossyLinkModel clean;
+  clean.attempt_delivers = [](NodeId, NodeId, int) { return true; };
+  Result result = RunRoundLossy(readings, clean, RetryPolicy{}, energy);
+  M2M_CHECK(result.incomplete_destinations.empty())
+      << "destination " << result.incomplete_destinations.front()
+      << " never completed its aggregate";
   return result;
 }
 
-RuntimeNetwork::LossyResult RuntimeNetwork::RunRoundLossy(
-    const std::vector<double>& readings, const LossyLinkModel& links,
-    const RetryPolicy& retry, const EnergyModel& energy, EventTrace* trace) {
-  M2M_CHECK_EQ(readings.size(), nodes_.size());
+/// One lossy round, run in three phases: Emit starts the alive nodes and
+/// queues their transfers, RunTicks drains the agenda tick by tick, and
+/// Finish reads values and coverage off the destinations.
+class RuntimeNetwork::LossyRound {
+ public:
+  LossyRound(RuntimeNetwork& net, const LossyLinkModel& links,
+             const RetryPolicy& retry, const EnergyModel& energy,
+             EventTrace* trace);
+
+  void Emit(const std::vector<double>& readings);
+  void RunTicks();
+  LossyResult Finish();
+
+ private:
+  bool Alive(NodeId n) const {
+    return links_.node_alive == nullptr || links_.node_alive(n);
+  }
+  void AddTransfer(NodeId sender, NodeRuntime::OutgoingPacket packet,
+                   uint32_t epoch, int tick);
+
+  // Fx recorders; each is a no-op when its sink is detached.
+  void RecordMetric(Fx& fx, Fx::MetricOp::Kind kind, obs::MetricHandle handle,
+                    NodeId a, NodeId b, int64_t value) const;
+  void RecordNode(Fx& fx, obs::MetricHandle handle, NodeId node,
+                  int64_t value) const {
+    RecordMetric(fx, Fx::MetricOp::Kind::kAddNode, handle, node,
+                 kInvalidNode, value);
+  }
+  void RecordAdd(Fx& fx, obs::MetricHandle handle, int64_t value) const {
+    RecordMetric(fx, Fx::MetricOp::Kind::kAdd, handle, kInvalidNode,
+                 kInvalidNode, value);
+  }
+  void RecordSend(Fx& fx, size_t index, int tick, int attempt,
+                  obs::SendOutcome outcome, bool ack_lost,
+                  int drop_hop) const;
+
+  // Tick loop.
+  void EvictStaleDedup(int tick);
+  void RunWave(const std::vector<Event>& list, size_t begin, size_t end,
+               int tick);
+  void ProcessEvent(const Event& event, int tick, Fx& fx);
+  void ProcessTransmit(size_t index, int tick, Fx& fx);
+  ForwardWalk WalkForward(size_t index, int attempt, Fx& fx);
+  void ProcessArrival(const Event& arrival, int tick, Fx& fx);
+  bool SendAck(size_t index, int attempt, int tick, Fx& fx);
+  void ApplyAck(size_t index, Fx& fx);
+  void MaybeFinalize(size_t index, int tick, Fx& fx);
+  void ApplyFx(Fx& fx);
+
+  // Epilogue.
+  std::map<NodeId, std::set<NodeId>> ExpectedSources() const;
+
+  RuntimeNetwork& net_;
+  const LossyLinkModel& links_;
+  const RetryPolicy& retry_;
+  const EnergyModel& energy_;
+  EventTrace* const trace_;
+  obs::MetricsRegistry* const metrics_;
+  const MetricHandles& handles_;
+  const bool track_node_energy_;
+  const int64_t node_count_;
+  int64_t evict_horizon_ticks_ = 0;
+  LossyResult result_;
+  std::vector<Transfer> transfers_;
+  event::EventQueue<Event> agenda_;
+};
+
+RuntimeNetwork::LossyRound::LossyRound(RuntimeNetwork& net,
+                                       const LossyLinkModel& links,
+                                       const RetryPolicy& retry,
+                                       const EnergyModel& energy,
+                                       EventTrace* trace)
+    : net_(net),
+      links_(links),
+      retry_(retry),
+      energy_(energy),
+      trace_(trace),
+      metrics_(net.metrics_),
+      handles_(net.handles_),
+      track_node_energy_(net.track_node_energy_),
+      node_count_(static_cast<int64_t>(net.nodes_.size())) {
   M2M_CHECK(links.attempt_delivers != nullptr);
   M2M_CHECK_GE(retry.max_attempts, 1);
   M2M_CHECK_GE(retry.ack_timeout_ticks, 1);
@@ -255,746 +368,547 @@ RuntimeNetwork::LossyResult RuntimeNetwork::RunRoundLossy(
   M2M_CHECK_GE(retry.max_backoff_ticks, retry.ack_timeout_ticks)
       << "max_backoff_ticks must not undercut the base ack timeout";
   M2M_CHECK_GE(links.max_delay_ticks, 0);
-  // Ticks stay in int; the clamp bounds the horizon, but a pathological
-  // policy (huge max_attempts * huge clamp) must fail loudly, not wrap.
-  const int64_t retry_horizon_ticks = retry.RetryHorizonTicks();
   // Channel delay widens the duplicate window: a late retransmission can
   // arrive up to max_delay_ticks after it was sent, so the receiver-side
   // dedup eviction horizon stretches by exactly that much (the boundary
-  // stays exact — see the delayed-duplicate regression tests).
-  const int64_t evict_horizon_ticks =
-      retry_horizon_ticks + links.max_delay_ticks;
-  M2M_CHECK_LE(evict_horizon_ticks, int64_t{1} << 30)
+  // stays exact — see the delayed-duplicate regression tests). Ticks stay
+  // in int; the clamp bounds the horizon, but a pathological policy (huge
+  // max_attempts * huge clamp) must fail loudly, not wrap.
+  evict_horizon_ticks_ = retry.RetryHorizonTicks() + links.max_delay_ticks;
+  M2M_CHECK_LE(evict_horizon_ticks_, int64_t{1} << 30)
       << "retry policy horizon overflows the tick domain";
-  auto alive = [&](NodeId n) {
-    return links.node_alive == nullptr || links.node_alive(n);
-  };
-  LossyResult result;
   if (track_node_energy_) {
-    result.node_energy_mj.assign(nodes_.size(), 0.0);
+    result_.node_energy_mj.assign(net.nodes_.size(), 0.0);
   }
+}
 
-  // One in-flight message instance per emitted packet; retransmissions
-  // reuse the instance with a bumped attempt counter.
-  struct Transfer {
-    NodeId sender = kInvalidNode;
-    NodeRuntime::OutgoingPacket packet;
-    uint32_t epoch = 0;  ///< Sender's plan epoch, stamped at emission.
-    int attempts_made = 0;
-    bool delivered_once = false;
-    bool acked = false;
-    /// Final verdict recorded (attempts histogram, abandoned accounting).
-    bool done = false;
-    /// Delayed deliveries/acks of this message still in flight.
-    int pending_events = 0;
-    /// Scheduled retransmissions not yet popped (a pop after the ack lands
-    /// is skipped, so these must block the final abandoned verdict).
-    int pending_retransmits = 0;
-    /// Highest attempt index whose copy has arrived (reorder detection).
-    int last_arrival_attempt = 0;
-  };
-  std::vector<Transfer> transfers;
+void RuntimeNetwork::LossyRound::AddTransfer(
+    NodeId sender, NodeRuntime::OutgoingPacket packet, uint32_t epoch,
+    int tick) {
+  transfers_.push_back(Transfer{sender, std::move(packet), epoch});
+  Event event;
+  event.index = transfers_.size() - 1;
+  agenda_.Schedule(tick, event);
+}
 
-  // The agenda holds every future action: (re)transmissions, plus — under
-  // an adversarial channel — delayed packet arrivals and delayed acks.
-  // With a clean channel only kTransmit events exist and the schedule is
-  // tick-for-tick the legacy stop-and-wait behavior. The queue pops in
-  // (tick, schedule-seq) order, which is exactly the tick-ascending,
-  // append-ordered walk the original per-tick vectors performed — the
-  // round barrier is a special case of the discrete-event engine.
-  struct Event {
-    enum class Kind : uint8_t { kTransmit, kDeliver, kAckArrive };
-    Kind kind = Kind::kTransmit;
-    size_t index = 0;
-    int attempt = 0;          ///< kDeliver/kAckArrive: producing attempt.
-    bool retransmit = false;  ///< kTransmit: skip if already acked/done.
-    bool corrupt = false;
-    uint32_t corrupt_bit = 0;
-    bool is_dup = false;  ///< Channel-duplicated copy, not a retry.
-  };
-  event::EventQueue<Event> agenda;
+// --- Phase 1: emit ---------------------------------------------------------
 
-  // Deferred-effects execution: when the tick loop below runs sharded,
-  // each event mutates only its own transfer and its recipient node's
-  // state inline, and records every write to shared round state — result
-  // counters, energy terms, heard-evidence, metric/trace records, agenda
-  // appends, and packet emissions — into a per-event `Fx`. The merge
-  // applies the records serially in original event order, reproducing the
-  // serial path's floating-point addition order, trace byte order, and
-  // agenda order exactly (THEORY.md §12). In serial mode each Fx is
-  // applied immediately after its event — the old inline behavior.
-  struct Fx {
-    int64_t attempts = 0;
-    int64_t deliveries = 0;
-    int64_t duplicates = 0;
-    int64_t retransmissions = 0;
-    int64_t acks_lost = 0;
-    int64_t messages_abandoned = 0;
-    int64_t epoch_rejected = 0;
-    int64_t payload_bytes = 0;
-    int64_t corrupt_frames = 0;
-    int64_t spontaneous_duplicates = 0;
-    int64_t reordered_deliveries = 0;
-    /// Energy deltas, replayed with += in recorded order (floating-point
-    /// addition does not commute; the order is part of the byte-identity
-    /// contract).
-    std::vector<double> energy_terms;
-    /// Per-node energy attribution (mJ terms), recorded only when
-    /// track_node_energy_ is on. Kept separate from `energy_terms` so the
-    /// legacy total's accumulation order is untouched.
-    std::vector<std::pair<NodeId, double>> node_energy_terms;
-    std::vector<std::pair<NodeId, NodeId>> heard;
-    struct MetricOp {
-      enum class Kind : uint8_t { kAdd, kAddNode, kAddEdge, kObserve };
-      Kind kind = Kind::kAdd;
-      obs::MetricHandle handle;
-      NodeId a = kInvalidNode;  ///< Node (kAddNode) or from (kAddEdge).
-      NodeId b = kInvalidNode;  ///< To (kAddEdge).
-      int64_t value = 0;
-    };
-    std::vector<MetricOp> metric_ops;
-    struct TraceOp {
-      bool give_up = false;
-      int tick = 0;
-      NodeId from = kInvalidNode;
-      NodeId to = kInvalidNode;
-      int message_id = 0;
-      int attempt = 0;
-      int payload = 0;
-      obs::SendOutcome outcome = obs::SendOutcome::kRx;
-      bool ack_lost = false;
-      int drop_hop = 0;
-    };
-    std::vector<TraceOp> trace_ops;
-    /// An emitted packet: becomes a new transfer plus its first transmit
-    /// event at `tick`.
-    struct Emission {
-      NodeId sender = kInvalidNode;
-      NodeRuntime::OutgoingPacket packet;
-      uint32_t epoch = 0;
-      int tick = 0;
-    };
-    /// Agenda appends and emissions interleave within one event (an
-    /// arrival can emit packets before scheduling its ack), so they share
-    /// one ordered op list.
-    struct Op {
-      bool emit = false;
-      int tick = 0;
-      Event event;        ///< !emit: appended verbatim at `tick`.
-      Emission emission;  ///< emit: new transfer + first transmit.
-    };
-    std::vector<Op> ops;
-  };
-
-  auto collect = [&](NodeRuntime& node, int tick, Fx& fx) {
-    for (NodeRuntime::OutgoingPacket& packet : node.DrainReadyPackets()) {
-      Fx::Op op;
-      op.emit = true;
-      op.emission = Fx::Emission{node.id(), std::move(packet),
-                                 node.plan_epoch(), tick};
-      fx.ops.push_back(std::move(op));
+void RuntimeNetwork::LossyRound::Emit(const std::vector<double>& readings) {
+  // Per-node work shards over node-id ranges; emissions merge in node-id
+  // order, reproducing the serial transfer/agenda order.
+  std::vector<std::vector<NodeRuntime::OutgoingPacket>> drained(
+      net_.nodes_.size());
+  ParallelFor(node_count_, [&](int64_t begin, int64_t end) {
+    for (int64_t n = begin; n < end; ++n) {
+      if (!Alive(static_cast<NodeId>(n))) continue;
+      net_.nodes_[n].StartRound(readings[n]);
+      drained[n] = net_.nodes_[n].DrainReadyPackets();
     }
-  };
-  auto observe_message_done = [&](const Transfer& transfer, Fx& fx) {
-    if (metrics_ != nullptr) {
-      fx.metric_ops.push_back({Fx::MetricOp::Kind::kObserve,
-                               handles_.attempts_per_message, kInvalidNode,
-                               kInvalidNode, transfer.attempts_made});
-    }
-  };
-  // Records the final verdict for a message exactly once, as soon as it is
-  // known: acked, or retry budget spent with nothing left in flight.
-  auto maybe_finalize = [&](size_t index, int tick, Fx& fx) {
-    Transfer& t = transfers[index];
-    if (t.done) return;
-    if (t.acked) {
-      t.done = true;
-      observe_message_done(t, fx);
-      return;
-    }
-    if (t.attempts_made >= retry.max_attempts && t.pending_events == 0 &&
-        t.pending_retransmits == 0) {
-      t.done = true;
-      observe_message_done(t, fx);
-      if (!t.delivered_once) {
-        fx.messages_abandoned += 1;
-        if (metrics_ != nullptr) {
-          fx.metric_ops.push_back({Fx::MetricOp::Kind::kAddNode,
-                                   handles_.messages_abandoned, t.sender,
-                                   kInvalidNode, 1});
-        }
-        if (trace != nullptr) {
-          Fx::TraceOp op;
-          op.give_up = true;
-          op.tick = tick;
-          op.from = t.sender;
-          op.to = t.packet.recipient;
-          op.message_id = t.packet.local_message_id;
-          fx.trace_ops.push_back(op);
-        }
-      }
-    }
-  };
-  auto apply_ack = [&](size_t index, Fx& fx) {
-    if (metrics_ != nullptr) {
-      fx.metric_ops.push_back({Fx::MetricOp::Kind::kAddNode,
-                               handles_.acks_delivered,
-                               transfers[index].sender, kInvalidNode, 1});
-    }
-    transfers[index].acked = true;
-  };
-
-  // One copy of the message arriving at the recipient (inline when the
-  // channel adds no delay, or as a popped kDeliver event): CRC gate, then
-  // dedup/epoch-gated receive, then the reverse-path ack walk.
-  auto process_arrival = [&](size_t index, int attempt, int arrival_tick,
-                             bool corrupt, uint32_t corrupt_bit, bool is_dup,
-                             Fx& fx) {
-    const NodeId sender = transfers[index].sender;
-    const int message_id = transfers[index].packet.local_message_id;
-    const NodeId packet_recipient = transfers[index].packet.recipient;
-    const int payload =
-        static_cast<int>(transfers[index].packet.payload.size());
-    const std::vector<NodeId>& segment =
-        message_segments_[sender][message_id];
-
-    if (corrupt) {
-      // Bit-flip in transit: the CRC32 frame check rejects the packet
-      // before any decoding. No ack — the sender's retry budget covers
-      // corruption exactly like a drop, but the event is *counted*.
-      std::vector<uint8_t> frame =
-          wire::FrameWithCrc32(transfers[index].packet.payload);
-      size_t bit = corrupt_bit % (frame.size() * 8);
-      frame[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
-      std::optional<std::vector<uint8_t>> opened =
-          wire::TryOpenCrc32Frame(frame);
-      if (!opened.has_value()) {
-        fx.corrupt_frames += 1;
-        if (metrics_ != nullptr) {
-          fx.metric_ops.push_back({Fx::MetricOp::Kind::kAddNode,
-                                   handles_.chan_corrupt_frames,
-                                   packet_recipient, kInvalidNode, 1});
-        }
-        if (trace != nullptr) {
-          Fx::TraceOp op;
-          op.tick = arrival_tick;
-          op.from = sender;
-          op.to = packet_recipient;
-          op.message_id = message_id;
-          op.attempt = attempt;
-          op.payload = payload;
-          op.outcome = obs::SendOutcome::kCorrupt;
-          fx.trace_ops.push_back(op);
-        }
-        return;
-      }
-      // Unreachable for a genuine bit flip (CRC32 detects every single-bit
-      // error); if the checksum somehow matched, the frame is intact.
-    }
-
-    fx.deliveries += 1;
-    fx.payload_bytes += payload;
-    if (is_dup) {
-      fx.spontaneous_duplicates += 1;
-      if (metrics_ != nullptr) {
-        fx.metric_ops.push_back({Fx::MetricOp::Kind::kAdd,
-                                 handles_.chan_duplicated, kInvalidNode,
-                                 kInvalidNode, 1});
-      }
-    }
-    if (attempt < transfers[index].last_arrival_attempt) {
-      // A delayed copy landed after a newer attempt already arrived.
-      fx.reordered_deliveries += 1;
-      if (metrics_ != nullptr) {
-        fx.metric_ops.push_back({Fx::MetricOp::Kind::kAdd,
-                                 handles_.chan_reordered, kInvalidNode,
-                                 kInvalidNode, 1});
-      }
-    } else {
-      transfers[index].last_arrival_attempt = attempt;
-    }
-    NodeRuntime& recipient = nodes_[packet_recipient];
-    if (metrics_ != nullptr) {
-      fx.metric_ops.push_back({Fx::MetricOp::Kind::kAddNode,
-                               handles_.rx_packets, packet_recipient,
-                               kInvalidNode, 1});
-      fx.metric_ops.push_back({Fx::MetricOp::Kind::kAddNode,
-                               handles_.rx_bytes, packet_recipient,
-                               kInvalidNode, payload});
-    }
-    obs::SendOutcome outcome = obs::SendOutcome::kRx;
-    switch (recipient.OnReceiveOnce(sender, message_id,
-                                    transfers[index].epoch,
-                                    transfers[index].packet.payload,
-                                    arrival_tick)) {
-      case NodeRuntime::ReceiveOutcome::kFresh:
-        transfers[index].delivered_once = true;
-        collect(recipient, arrival_tick + 1, fx);
-        outcome = obs::SendOutcome::kRx;
-        break;
-      case NodeRuntime::ReceiveOutcome::kDuplicate:
-        fx.duplicates += 1;
-        if (metrics_ != nullptr) {
-          fx.metric_ops.push_back({Fx::MetricOp::Kind::kAddNode,
-                                   handles_.dedup_hits, packet_recipient,
-                                   kInvalidNode, 1});
-        }
-        outcome = obs::SendOutcome::kDuplicate;
-        break;
-      case NodeRuntime::ReceiveOutcome::kEpochMismatch:
-        // Dropped whole, but still acked below: the mismatch is a plan
-        // generation gap, not a link failure — retrying cannot help.
-        transfers[index].delivered_once = true;
-        fx.epoch_rejected += 1;
-        if (metrics_ != nullptr) {
-          fx.metric_ops.push_back({Fx::MetricOp::Kind::kAddNode,
-                                   handles_.epoch_gate_drops,
-                                   packet_recipient, kInvalidNode, 1});
-        }
-        outcome = obs::SendOutcome::kEpochRejected;
-        break;
-    }
-    // Ack travels the segment in reverse; header-only payload. A delayed
-    // ack arrives as a kAckArrive event — retransmissions it crosses in
-    // flight are suppressed by the receiver dedup, and the sender stops
-    // retrying the moment the ack lands.
-    bool ack_ok = true;
-    int ack_hops = 0;
-    int ack_delay = 0;
-    for (size_t h = segment.size() - 1; h > 0; --h) {
-      if (!links.attempt_delivers(segment[h], segment[h - 1], attempt)) {
-        ack_ok = false;
-        break;
-      }
-      ++ack_hops;
-      fx.heard.emplace_back(segment[h], segment[h - 1]);
-      if (links.hop_effects != nullptr) {
-        ack_delay +=
-            links.hop_effects(segment[h], segment[h - 1], attempt)
-                .delay_ticks;
-      }
-    }
-    fx.energy_terms.push_back(ack_hops * energy.UnicastHopUj(0) / 1000.0);
-    if (track_node_energy_) {
-      // Replay the crossed ack hops for attribution: segment[h] transmitted
-      // the header-only ack, segment[h - 1] received it.
-      for (int crossed = 0; crossed < ack_hops; ++crossed) {
-        const size_t h = segment.size() - 1 - crossed;
-        fx.node_energy_terms.emplace_back(segment[h],
-                                          energy.TxUj(0) / 1000.0);
-        fx.node_energy_terms.emplace_back(segment[h - 1],
-                                          energy.RxUj(0) / 1000.0);
-      }
-    }
-    if (ack_ok) {
-      ack_delay = std::min(ack_delay, links.max_delay_ticks);
-      if (ack_delay <= 0) {
-        apply_ack(index, fx);
-      } else {
-        transfers[index].pending_events += 1;
-        Event event;
-        event.kind = Event::Kind::kAckArrive;
-        event.index = index;
-        event.attempt = attempt;
-        Fx::Op op;
-        op.tick = arrival_tick + ack_delay;
-        op.event = event;
-        fx.ops.push_back(op);
-      }
-    } else {
-      fx.energy_terms.push_back(energy.TxUj(0) / 1000.0);
-      if (track_node_energy_) {
-        // The failed ack attempt burned one header-only TX at the node the
-        // reverse walk stalled at.
-        fx.node_energy_terms.emplace_back(
-            segment[segment.size() - 1 - ack_hops], energy.TxUj(0) / 1000.0);
-      }
-      fx.acks_lost += 1;
-      if (metrics_ != nullptr) {
-        fx.metric_ops.push_back({Fx::MetricOp::Kind::kAddNode,
-                                 handles_.acks_lost, sender, kInvalidNode,
-                                 1});
-      }
-    }
-    if (trace != nullptr) {
-      Fx::TraceOp op;
-      op.tick = arrival_tick;
-      op.from = sender;
-      op.to = packet_recipient;
-      op.message_id = message_id;
-      op.attempt = attempt;
-      op.payload = payload;
-      op.outcome = outcome;
-      op.ack_lost = !ack_ok;
-      fx.trace_ops.push_back(op);
-    }
-  };
-
-  auto process_transmit = [&](size_t index, int tick, Fx& fx) {
-    const NodeId sender = transfers[index].sender;
-    const int message_id = transfers[index].packet.local_message_id;
-    const NodeId packet_recipient = transfers[index].packet.recipient;
-    const std::vector<NodeId>& segment =
-        message_segments_[sender][message_id];
-    const int payload =
-        static_cast<int>(transfers[index].packet.payload.size());
-    const int attempt = ++transfers[index].attempts_made;
-    fx.attempts += 1;
-    if (attempt > 1) fx.retransmissions += 1;
-    if (metrics_ != nullptr) {
-      fx.metric_ops.push_back({Fx::MetricOp::Kind::kAddNode,
-                               handles_.tx_attempts, sender, kInvalidNode,
-                               1});
-      fx.metric_ops.push_back({Fx::MetricOp::Kind::kAddNode,
-                               handles_.tx_bytes, sender, kInvalidNode,
-                               payload});
-      if (attempt > 1) {
-        fx.metric_ops.push_back({Fx::MetricOp::Kind::kAdd,
-                                 handles_.retransmissions, kInvalidNode,
-                                 kInvalidNode, 1});
-      }
-    }
-
-    // Data crosses the segment hop by hop; the first dead hop burns one
-    // transmit and stops the packet. Channel effects (delay, duplication,
-    // corruption) accumulate along the hops actually crossed.
-    int hops_crossed = 0;
-    bool delivered = alive(packet_recipient);
-    int data_delay = 0;
-    bool dup = false;
-    bool corrupt = false;
-    uint32_t corrupt_bit = 0;
-    if (delivered) {
-      for (size_t h = 0; h + 1 < segment.size(); ++h) {
-        if (!links.attempt_delivers(segment[h], segment[h + 1], attempt)) {
-          delivered = false;
-          break;
-        }
-        ++hops_crossed;
-        if (metrics_ != nullptr) {
-          fx.metric_ops.push_back({Fx::MetricOp::Kind::kAddEdge,
-                                   handles_.hop_transmissions, segment[h],
-                                   segment[h + 1], 1});
-        }
-        // Heartbeat evidence: segment[h+1] heard segment[h] transmit.
-        fx.heard.emplace_back(segment[h], segment[h + 1]);
-        if (links.hop_effects != nullptr) {
-          HopEffects effects =
-              links.hop_effects(segment[h], segment[h + 1], attempt);
-          data_delay += effects.delay_ticks;
-          if (effects.duplicate) dup = true;
-          if (effects.corrupt && !corrupt) {
-            corrupt = true;
-            corrupt_bit = effects.corrupt_bit;
-          }
-        }
-      }
-    }
-    fx.energy_terms.push_back(hops_crossed * energy.UnicastHopUj(payload) /
-                              1000.0);
-    if (track_node_energy_) {
-      for (int h = 0; h < hops_crossed; ++h) {
-        fx.node_energy_terms.emplace_back(segment[h],
-                                          energy.TxUj(payload) / 1000.0);
-        fx.node_energy_terms.emplace_back(segment[h + 1],
-                                          energy.RxUj(payload) / 1000.0);
-      }
-    }
-    if (!delivered && hops_crossed + 2 <= static_cast<int>(segment.size())) {
-      fx.energy_terms.push_back(energy.TxUj(payload) / 1000.0);
-      if (track_node_energy_) {
-        // The failed (or dead-recipient) attempt burned one TX at the node
-        // the forward walk stalled at.
-        fx.node_energy_terms.emplace_back(segment[hops_crossed],
-                                          energy.TxUj(payload) / 1000.0);
-      }
-    }
-
-    if (delivered) {
-      data_delay = std::min(data_delay, links.max_delay_ticks);
-      if (data_delay <= 0) {
-        process_arrival(index, attempt, tick, corrupt, corrupt_bit,
-                        /*is_dup=*/false, fx);
-      } else {
-        transfers[index].pending_events += 1;
-        Event event;
-        event.kind = Event::Kind::kDeliver;
-        event.index = index;
-        event.attempt = attempt;
-        event.corrupt = corrupt;
-        event.corrupt_bit = corrupt_bit;
-        Fx::Op op;
-        op.tick = tick + data_delay;
-        op.event = event;
-        fx.ops.push_back(op);
-      }
-      if (dup) {
-        // The spontaneous copy trails the original by one tick.
-        transfers[index].pending_events += 1;
-        Event event;
-        event.kind = Event::Kind::kDeliver;
-        event.index = index;
-        event.attempt = attempt;
-        event.corrupt = corrupt;
-        event.corrupt_bit = corrupt_bit;
-        event.is_dup = true;
-        Fx::Op op;
-        op.tick = tick + data_delay + 1;
-        op.event = event;
-        fx.ops.push_back(op);
-      }
-    } else {
-      obs::SendOutcome outcome = alive(packet_recipient)
-                                     ? obs::SendOutcome::kDropped
-                                     : obs::SendOutcome::kDeadRecipient;
-      if (trace != nullptr) {
-        Fx::TraceOp op;
-        op.tick = tick;
-        op.from = sender;
-        op.to = packet_recipient;
-        op.message_id = message_id;
-        op.attempt = attempt;
-        op.payload = payload;
-        op.outcome = outcome;
-        op.drop_hop = outcome == obs::SendOutcome::kDropped
-                          ? hops_crossed + 1
-                          : 0;
-        fx.trace_ops.push_back(op);
-      }
-    }
-
-    // Retry decision at send time: if no ack has landed by the backoff
-    // deadline the sender retransmits. A retransmission popped after a
-    // delayed ack arrived is skipped, so late acks stop the retry chain.
-    if (!transfers[index].acked && !transfers[index].done &&
-        attempt < retry.max_attempts) {
-      const int64_t timeout = retry.BackoffWaitTicks(attempt);
-      transfers[index].pending_retransmits += 1;
-      Event event;
-      event.index = index;
-      event.retransmit = true;
-      Fx::Op op;
-      op.tick = tick + static_cast<int>(timeout);
-      op.event = event;
-      fx.ops.push_back(op);
-      if (metrics_ != nullptr) {
-        fx.metric_ops.push_back({Fx::MetricOp::Kind::kAdd,
-                                 handles_.backoff_wait_ticks, kInvalidNode,
-                                 kInvalidNode, timeout});
-      }
-    }
-    maybe_finalize(index, tick, fx);
-  };
-
-  // Dispatches one event. All transfer-state and recipient-node mutation
-  // is inline (shard-exclusive: every kind touches only transfers[index]
-  // and nodes_[recipient], and the recipient is fixed per transfer);
-  // everything shared lands in `fx`.
-  auto process_event = [&](const Event& event, int tick, Fx& fx) {
-    switch (event.kind) {
-      case Event::Kind::kTransmit:
-        if (event.retransmit) {
-          transfers[event.index].pending_retransmits -= 1;
-          if (transfers[event.index].acked || transfers[event.index].done) {
-            maybe_finalize(event.index, tick, fx);
-            break;
-          }
-        }
-        process_transmit(event.index, tick, fx);
-        break;
-      case Event::Kind::kDeliver:
-        transfers[event.index].pending_events -= 1;
-        process_arrival(event.index, event.attempt, tick, event.corrupt,
-                        event.corrupt_bit, event.is_dup, fx);
-        maybe_finalize(event.index, tick, fx);
-        break;
-      case Event::Kind::kAckArrive:
-        transfers[event.index].pending_events -= 1;
-        apply_ack(event.index, fx);
-        maybe_finalize(event.index, tick, fx);
-        break;
-    }
-  };
-
-  // Replays one event's deferred shared-state writes, in recorded order.
-  auto apply_fx = [&](Fx& fx) {
-    result.attempts += fx.attempts;
-    result.deliveries += fx.deliveries;
-    result.duplicates += fx.duplicates;
-    result.retransmissions += fx.retransmissions;
-    result.acks_lost += fx.acks_lost;
-    result.messages_abandoned += fx.messages_abandoned;
-    result.epoch_rejected += fx.epoch_rejected;
-    result.payload_bytes += fx.payload_bytes;
-    result.corrupt_frames += fx.corrupt_frames;
-    result.spontaneous_duplicates += fx.spontaneous_duplicates;
-    result.reordered_deliveries += fx.reordered_deliveries;
-    for (double term : fx.energy_terms) result.energy_mj += term;
-    for (const auto& [node, term] : fx.node_energy_terms) {
-      result.node_energy_mj[node] += term;
-    }
-    for (const auto& [from, to] : fx.heard) result.heard.emplace(from, to);
-    if (metrics_ != nullptr) {
-      for (const Fx::MetricOp& op : fx.metric_ops) {
-        switch (op.kind) {
-          case Fx::MetricOp::Kind::kAdd:
-            metrics_->Add(op.handle, op.value);
-            break;
-          case Fx::MetricOp::Kind::kAddNode:
-            metrics_->AddNode(op.handle, op.a, op.value);
-            break;
-          case Fx::MetricOp::Kind::kAddEdge:
-            metrics_->AddEdge(op.handle, op.a, op.b, op.value);
-            break;
-          case Fx::MetricOp::Kind::kObserve:
-            metrics_->Observe(op.handle, op.value);
-            break;
-        }
-      }
-    }
-    if (trace != nullptr) {
-      for (const Fx::TraceOp& op : fx.trace_ops) {
-        if (op.give_up) {
-          trace->GiveUp(op.tick, op.from, op.to, op.message_id);
-        } else {
-          trace->Send(op.tick, op.from, op.to, op.message_id, op.attempt,
-                      op.payload, op.outcome, op.ack_lost, op.drop_hop);
-        }
-      }
-    }
-    for (Fx::Op& op : fx.ops) {
-      if (op.emit) {
-        transfers.push_back(Transfer{op.emission.sender,
-                                     std::move(op.emission.packet),
-                                     op.emission.epoch});
-        Event event;
-        event.index = transfers.size() - 1;
-        agenda.Schedule(op.emission.tick, event);
-      } else {
-        agenda.Schedule(op.tick, op.event);
-      }
-    }
-  };
-
-  const int64_t node_count = static_cast<int64_t>(nodes_.size());
-  {
-    // Round start: per-node work shards over node-id ranges; emissions
-    // merge in node-id order, reproducing the serial transfer/agenda
-    // order.
-    std::vector<std::vector<NodeRuntime::OutgoingPacket>> drained(
-        nodes_.size());
-    ParallelFor(node_count, [&](int64_t begin, int64_t end) {
-      for (int64_t n = begin; n < end; ++n) {
-        if (!alive(static_cast<NodeId>(n))) continue;
-        nodes_[n].StartRound(readings[n]);
-        drained[n] = nodes_[n].DrainReadyPackets();
-      }
-    });
-    for (size_t n = 0; n < nodes_.size(); ++n) {
-      for (NodeRuntime::OutgoingPacket& packet : drained[n]) {
-        transfers.push_back(Transfer{static_cast<NodeId>(n),
-                                     std::move(packet),
-                                     nodes_[n].plan_epoch()});
-        Event event;
-        event.index = transfers.size() - 1;
-        agenda.Schedule(0, event);
-      }
+  });
+  for (size_t n = 0; n < net_.nodes_.size(); ++n) {
+    for (NodeRuntime::OutgoingPacket& packet : drained[n]) {
+      AddTransfer(static_cast<NodeId>(n), std::move(packet),
+                  net_.nodes_[n].plan_epoch(), 0);
     }
   }
+}
 
-  while (!agenda.empty()) {
-    const int tick = static_cast<int>(*agenda.NextTime());
-    result.final_tick = tick;
-    // Dedup entries older than the (delay-extended) retry horizon can
-    // never be duplicated again; drop them so the table stays
-    // O(in-flight), not O(received). The boundary is exact: an entry
-    // stamped t is retained through processing tick t + horizon, and the
-    // last possible duplicate of its message arrives at
-    // t + horizon - 1 (obs_test pins the clean-channel boundary, the
-    // delayed-duplicate regression the extended one). Eviction is per-node
-    // independent, so it shards over node ranges.
-    if (tick > evict_horizon_ticks) {
-      const int evict_before = tick - static_cast<int>(evict_horizon_ticks);
-      ParallelFor(node_count, [&](int64_t begin, int64_t end) {
-        for (int64_t n = begin; n < end; ++n) {
-          nodes_[n].EvictSeenPacketsBefore(evict_before);
-        }
-      });
-    }
+// --- Phase 2: tick loop ----------------------------------------------------
+
+void RuntimeNetwork::LossyRound::RunTicks() {
+  std::vector<Event> list;
+  while (!agenda_.empty()) {
+    const int tick = static_cast<int>(*agenda_.NextTime());
+    result_.final_tick = tick;
+    EvictStaleDedup(tick);
     // Every event scheduled during processing lands at tick + 1 or later
     // (arrivals collect at arrival + 1; channel delays and backoffs are
     // >= 1), so one wave normally covers the whole tick; the wave loop
     // mirrors the serial index walk in case a schedule ever targets the
     // current tick (the queue's seq tie-break keeps any such stragglers in
-    // append order). Entries may be added to this tick's list during the
-    // merge — and a merged emission can push into `transfers`
-    // (reallocation) — so go through indices, never held references.
-    std::vector<Event> list;
+    // append order). A merged emission can push into `transfers_`
+    // (reallocation), so events go through indices, never held references.
+    list.clear();
     size_t processed = 0;
     while (true) {
-      while (!agenda.empty() && agenda.NextTime() == tick) {
-        list.push_back(std::move(agenda.Pop()->payload));
+      while (!agenda_.empty() && agenda_.NextTime() == tick) {
+        list.push_back(std::move(agenda_.Pop()->payload));
       }
       if (processed >= list.size()) break;
       const size_t wave_end = list.size();
-      ThreadPool* pool = GlobalThreadPool();
-      const int shard_count =
-          pool == nullptr
-              ? 1
-              : static_cast<int>(
-                    std::min<int64_t>(GlobalShardCount(), node_count));
-      if (shard_count <= 1) {
-        // Serial: apply each event's effects immediately after it — the
-        // original inline behavior, byte for byte.
-        for (size_t i = processed; i < wave_end; ++i) {
-          const Event event = list[i];
-          Fx fx;
-          process_event(event, tick, fx);
-          apply_fx(fx);
-        }
-      } else {
-        // Parallel wave: events bucket by the recipient region of their
-        // transfer, keeping every per-transfer and per-node mutation in
-        // exactly one shard, in original event order. The per-event Fx
-        // records are then merged serially in event order — identical
-        // bytes to the serial walk for any shard count.
-        std::vector<std::vector<size_t>> buckets(shard_count);
-        for (size_t i = processed; i < wave_end; ++i) {
-          buckets[ShardOfNode(transfers[list[i].index].packet.recipient,
-                              shard_count, node_count)]
-              .push_back(i);
-        }
-        std::vector<Fx> fx(wave_end - processed);
-        pool->RunShards(shard_count, [&](int s) {
-          for (size_t i : buckets[s]) {
-            process_event(list[i], tick, fx[i - processed]);
-          }
-        });
-        for (size_t i = processed; i < wave_end; ++i) {
-          apply_fx(fx[i - processed]);
-        }
-      }
+      RunWave(list, processed, wave_end, tick);
       processed = wave_end;
     }
   }
   if (metrics_ != nullptr) {
-    metrics_->Observe(handles_.round_ticks, result.final_tick);
+    metrics_->Observe(handles_.round_ticks, result_.final_tick);
+  }
+}
+
+void RuntimeNetwork::LossyRound::EvictStaleDedup(int tick) {
+  // Dedup entries older than the (delay-extended) retry horizon can never
+  // be duplicated again; drop them so the table stays O(in-flight), not
+  // O(received). The boundary is exact: an entry stamped t is retained
+  // through processing tick t + horizon, and the last possible duplicate
+  // of its message arrives at t + horizon - 1 (obs_test pins the
+  // clean-channel boundary, the delayed-duplicate regression the extended
+  // one). Eviction is per-node independent, so it shards over node ranges.
+  if (tick <= evict_horizon_ticks_) return;
+  const int evict_before = tick - static_cast<int>(evict_horizon_ticks_);
+  ParallelFor(node_count_, [&](int64_t begin, int64_t end) {
+    for (int64_t n = begin; n < end; ++n) {
+      net_.nodes_[n].EvictSeenPacketsBefore(evict_before);
+    }
+  });
+}
+
+void RuntimeNetwork::LossyRound::RunWave(const std::vector<Event>& list,
+                                         size_t begin, size_t end,
+                                         int tick) {
+  ThreadPool* pool = GlobalThreadPool();
+  const int shard_count =
+      pool == nullptr
+          ? 1
+          : static_cast<int>(std::min<int64_t>(GlobalShardCount(),
+                                               node_count_));
+  if (shard_count <= 1) {
+    // Serial: apply each event's effects immediately after it.
+    for (size_t i = begin; i < end; ++i) {
+      Fx fx;
+      ProcessEvent(list[i], tick, fx);
+      ApplyFx(fx);
+    }
+    return;
+  }
+  // Parallel wave: events bucket by the recipient region of their
+  // transfer, keeping every per-transfer and per-node mutation in exactly
+  // one shard, in original event order. The per-event Fx records are then
+  // merged serially in event order — identical bytes to the serial walk
+  // for any shard count.
+  std::vector<std::vector<size_t>> buckets(shard_count);
+  for (size_t i = begin; i < end; ++i) {
+    buckets[ShardOfNode(transfers_[list[i].index].packet.recipient,
+                        shard_count, node_count_)]
+        .push_back(i);
+  }
+  std::vector<Fx> fx(end - begin);
+  pool->RunShards(shard_count, [&](int s) {
+    for (size_t i : buckets[s]) ProcessEvent(list[i], tick, fx[i - begin]);
+  });
+  for (size_t i = begin; i < end; ++i) ApplyFx(fx[i - begin]);
+}
+
+// Dispatches one event. All transfer-state and recipient-node mutation is
+// inline (shard-exclusive: every kind touches only transfers_[index] and
+// the recipient node, and the recipient is fixed per transfer); everything
+// shared lands in `fx`.
+void RuntimeNetwork::LossyRound::ProcessEvent(const Event& event, int tick,
+                                              Fx& fx) {
+  Transfer& t = transfers_[event.index];
+  switch (event.kind) {
+    case Event::Kind::kTransmit:
+      if (event.retransmit) {
+        t.pending_retransmits -= 1;
+        if (t.acked || t.done) {
+          MaybeFinalize(event.index, tick, fx);
+          break;
+        }
+      }
+      ProcessTransmit(event.index, tick, fx);
+      break;
+    case Event::Kind::kDeliver:
+      t.pending_events -= 1;
+      ProcessArrival(event, tick, fx);
+      MaybeFinalize(event.index, tick, fx);
+      break;
+    case Event::Kind::kAckArrive:
+      t.pending_events -= 1;
+      ApplyAck(event.index, fx);
+      MaybeFinalize(event.index, tick, fx);
+      break;
+  }
+}
+
+void RuntimeNetwork::LossyRound::ProcessTransmit(size_t index, int tick,
+                                                 Fx& fx) {
+  Transfer& t = transfers_[index];
+  const std::vector<NodeId>& segment =
+      net_.message_segments_[t.sender][t.packet.local_message_id];
+  const int payload = static_cast<int>(t.packet.payload.size());
+  const int attempt = ++t.attempts_made;
+  fx.attempts += 1;
+  if (attempt > 1) fx.retransmissions += 1;
+  RecordNode(fx, handles_.tx_attempts, t.sender, 1);
+  RecordNode(fx, handles_.tx_bytes, t.sender, payload);
+  if (attempt > 1) RecordAdd(fx, handles_.retransmissions, 1);
+
+  const ForwardWalk walk = WalkForward(index, attempt, fx);
+  fx.energy_terms.push_back(walk.hops_crossed *
+                            energy_.UnicastHopUj(payload) / 1000.0);
+  if (track_node_energy_) {
+    for (int h = 0; h < walk.hops_crossed; ++h) {
+      fx.node_energy_terms.emplace_back(segment[h],
+                                        energy_.TxUj(payload) / 1000.0);
+      fx.node_energy_terms.emplace_back(segment[h + 1],
+                                        energy_.RxUj(payload) / 1000.0);
+    }
+  }
+  if (!walk.delivered &&
+      walk.hops_crossed + 2 <= static_cast<int>(segment.size())) {
+    fx.energy_terms.push_back(energy_.TxUj(payload) / 1000.0);
+    if (track_node_energy_) {
+      // The failed (or dead-recipient) attempt burned one TX at the node
+      // the forward walk stalled at.
+      fx.node_energy_terms.emplace_back(segment[walk.hops_crossed],
+                                        energy_.TxUj(payload) / 1000.0);
+    }
   }
 
-  // Expected contributor sets per destination: the union of
-  // pre-aggregation sites (source -> destination) over every node whose
-  // tables are on the destination's plan epoch. Dead nodes keep their
-  // tables, so a not-yet-repaired plan truthfully reports a dead source as
-  // expected-but-uncovered; once a re-plan routes around it, the new-epoch
-  // tables no longer expect it and coverage returns to 1.
+  if (walk.delivered) {
+    const int delay = std::min(walk.delay, links_.max_delay_ticks);
+    Event arrival;
+    arrival.kind = Event::Kind::kDeliver;
+    arrival.index = index;
+    arrival.attempt = attempt;
+    arrival.corrupt = walk.corrupt;
+    arrival.corrupt_bit = walk.corrupt_bit;
+    if (delay <= 0) {
+      ProcessArrival(arrival, tick, fx);
+    } else {
+      t.pending_events += 1;
+      fx.Schedule(tick + delay, arrival);
+    }
+    if (walk.duplicate) {
+      // The spontaneous copy trails the original by one tick.
+      t.pending_events += 1;
+      arrival.is_dup = true;
+      fx.Schedule(tick + delay + 1, arrival);
+    }
+  } else {
+    const bool dropped = Alive(t.packet.recipient);
+    RecordSend(fx, index, tick, attempt,
+               dropped ? obs::SendOutcome::kDropped
+                       : obs::SendOutcome::kDeadRecipient,
+               /*ack_lost=*/false, dropped ? walk.hops_crossed + 1 : 0);
+  }
+
+  // Retry decision at send time: if no ack has landed by the backoff
+  // deadline the sender retransmits. A retransmission popped after a
+  // delayed ack arrived is skipped, so late acks stop the retry chain.
+  if (!t.acked && !t.done && attempt < retry_.max_attempts) {
+    const int64_t timeout = retry_.BackoffWaitTicks(attempt);
+    t.pending_retransmits += 1;
+    Event retransmit;
+    retransmit.index = index;
+    retransmit.retransmit = true;
+    fx.Schedule(tick + static_cast<int>(timeout), retransmit);
+    RecordAdd(fx, handles_.backoff_wait_ticks, timeout);
+  }
+  MaybeFinalize(index, tick, fx);
+}
+
+// Data crosses the segment hop by hop; the first dead hop burns one
+// transmit and stops the packet. Channel effects (delay, duplication,
+// corruption) accumulate along the hops actually crossed.
+ForwardWalk RuntimeNetwork::LossyRound::WalkForward(size_t index,
+                                                    int attempt, Fx& fx) {
+  const Transfer& t = transfers_[index];
+  const std::vector<NodeId>& segment =
+      net_.message_segments_[t.sender][t.packet.local_message_id];
+  ForwardWalk walk;
+  walk.delivered = Alive(t.packet.recipient);
+  if (!walk.delivered) return walk;
+  for (size_t h = 0; h + 1 < segment.size(); ++h) {
+    if (!links_.attempt_delivers(segment[h], segment[h + 1], attempt)) {
+      walk.delivered = false;
+      break;
+    }
+    ++walk.hops_crossed;
+    RecordMetric(fx, Fx::MetricOp::Kind::kAddEdge, handles_.hop_transmissions,
+                 segment[h], segment[h + 1], 1);
+    // Heartbeat evidence: segment[h+1] heard segment[h] transmit.
+    fx.heard.emplace_back(segment[h], segment[h + 1]);
+    if (links_.hop_effects != nullptr) {
+      HopEffects effects =
+          links_.hop_effects(segment[h], segment[h + 1], attempt);
+      walk.delay += effects.delay_ticks;
+      if (effects.duplicate) walk.duplicate = true;
+      if (effects.corrupt && !walk.corrupt) {
+        walk.corrupt = true;
+        walk.corrupt_bit = effects.corrupt_bit;
+      }
+    }
+  }
+  return walk;
+}
+
+// One copy of the message arriving at the recipient (inline when the
+// channel adds no delay, or as a popped kDeliver event): CRC gate, then
+// dedup/epoch-gated receive, then the reverse-path ack walk.
+void RuntimeNetwork::LossyRound::ProcessArrival(const Event& arrival,
+                                                int tick, Fx& fx) {
+  const size_t index = arrival.index;
+  Transfer& t = transfers_[index];
+  const NodeId recipient_id = t.packet.recipient;
+  const int payload = static_cast<int>(t.packet.payload.size());
+
+  if (arrival.corrupt &&
+      wire::CorruptedFrameRejected(t.packet.payload, arrival.corrupt_bit)) {
+    // Bit-flip in transit: the CRC32 frame check rejects the packet before
+    // any decoding. No ack — the sender's retry budget covers corruption
+    // exactly like a drop, but the event is *counted*. (A genuine single
+    // bit flip is always detected; were the checksum to match, the frame
+    // would be intact and is received below.)
+    fx.corrupt_frames += 1;
+    RecordNode(fx, handles_.chan_corrupt_frames, recipient_id, 1);
+    RecordSend(fx, index, tick, arrival.attempt, obs::SendOutcome::kCorrupt,
+               /*ack_lost=*/false, /*drop_hop=*/0);
+    return;
+  }
+
+  fx.deliveries += 1;
+  fx.payload_bytes += payload;
+  if (arrival.is_dup) {
+    fx.spontaneous_duplicates += 1;
+    RecordAdd(fx, handles_.chan_duplicated, 1);
+  }
+  if (arrival.attempt < t.last_arrival_attempt) {
+    // A delayed copy landed after a newer attempt already arrived.
+    fx.reordered_deliveries += 1;
+    RecordAdd(fx, handles_.chan_reordered, 1);
+  } else {
+    t.last_arrival_attempt = arrival.attempt;
+  }
+  NodeRuntime& recipient = net_.nodes_[recipient_id];
+  RecordNode(fx, handles_.rx_packets, recipient_id, 1);
+  RecordNode(fx, handles_.rx_bytes, recipient_id, payload);
+  obs::SendOutcome outcome = obs::SendOutcome::kRx;
+  switch (recipient.OnReceiveOnce(t.sender, t.packet.local_message_id,
+                                  t.epoch, t.packet.payload, tick)) {
+    case NodeRuntime::ReceiveOutcome::kFresh:
+      t.delivered_once = true;
+      for (NodeRuntime::OutgoingPacket& packet :
+           recipient.DrainReadyPackets()) {
+        Fx::Op op;
+        op.emit = true;
+        op.emission = Fx::Emission{recipient_id, std::move(packet),
+                                   recipient.plan_epoch(), tick + 1};
+        fx.ops.push_back(std::move(op));
+      }
+      break;
+    case NodeRuntime::ReceiveOutcome::kDuplicate:
+      fx.duplicates += 1;
+      RecordNode(fx, handles_.dedup_hits, recipient_id, 1);
+      outcome = obs::SendOutcome::kDuplicate;
+      break;
+    case NodeRuntime::ReceiveOutcome::kEpochMismatch:
+      // Dropped whole, but still acked below: the mismatch is a plan
+      // generation gap, not a link failure — retrying cannot help.
+      t.delivered_once = true;
+      fx.epoch_rejected += 1;
+      RecordNode(fx, handles_.epoch_gate_drops, recipient_id, 1);
+      outcome = obs::SendOutcome::kEpochRejected;
+      break;
+  }
+  const bool ack_ok = SendAck(index, arrival.attempt, tick, fx);
+  RecordSend(fx, index, tick, arrival.attempt, outcome, !ack_ok,
+             /*drop_hop=*/0);
+}
+
+// The ack travels the segment in reverse with a header-only payload. A
+// delayed ack arrives as a kAckArrive event — retransmissions it crosses in
+// flight are suppressed by the receiver dedup, and the sender stops
+// retrying the moment the ack lands. Returns false when a hop drops it.
+bool RuntimeNetwork::LossyRound::SendAck(size_t index, int attempt, int tick,
+                                         Fx& fx) {
+  Transfer& t = transfers_[index];
+  const std::vector<NodeId>& segment =
+      net_.message_segments_[t.sender][t.packet.local_message_id];
+  bool ack_ok = true;
+  int ack_hops = 0;
+  int ack_delay = 0;
+  for (size_t h = segment.size() - 1; h > 0; --h) {
+    if (!links_.attempt_delivers(segment[h], segment[h - 1], attempt)) {
+      ack_ok = false;
+      break;
+    }
+    ++ack_hops;
+    fx.heard.emplace_back(segment[h], segment[h - 1]);
+    if (links_.hop_effects != nullptr) {
+      ack_delay +=
+          links_.hop_effects(segment[h], segment[h - 1], attempt).delay_ticks;
+    }
+  }
+  fx.energy_terms.push_back(ack_hops * energy_.UnicastHopUj(0) / 1000.0);
+  if (track_node_energy_) {
+    // Replay the crossed ack hops for attribution: segment[h] transmitted
+    // the header-only ack, segment[h - 1] received it.
+    for (int crossed = 0; crossed < ack_hops; ++crossed) {
+      const size_t h = segment.size() - 1 - crossed;
+      fx.node_energy_terms.emplace_back(segment[h], energy_.TxUj(0) / 1000.0);
+      fx.node_energy_terms.emplace_back(segment[h - 1],
+                                        energy_.RxUj(0) / 1000.0);
+    }
+  }
+  if (!ack_ok) {
+    fx.energy_terms.push_back(energy_.TxUj(0) / 1000.0);
+    if (track_node_energy_) {
+      // The failed ack attempt burned one header-only TX at the node the
+      // reverse walk stalled at.
+      fx.node_energy_terms.emplace_back(segment[segment.size() - 1 - ack_hops],
+                                        energy_.TxUj(0) / 1000.0);
+    }
+    fx.acks_lost += 1;
+    RecordNode(fx, handles_.acks_lost, t.sender, 1);
+    return false;
+  }
+  ack_delay = std::min(ack_delay, links_.max_delay_ticks);
+  if (ack_delay <= 0) {
+    ApplyAck(index, fx);
+  } else {
+    t.pending_events += 1;
+    Event ack;
+    ack.kind = Event::Kind::kAckArrive;
+    ack.index = index;
+    ack.attempt = attempt;
+    fx.Schedule(tick + ack_delay, ack);
+  }
+  return true;
+}
+
+void RuntimeNetwork::LossyRound::ApplyAck(size_t index, Fx& fx) {
+  RecordNode(fx, handles_.acks_delivered, transfers_[index].sender, 1);
+  transfers_[index].acked = true;
+}
+
+// Records the final verdict for a message exactly once, as soon as it is
+// known: acked, or retry budget spent with nothing left in flight.
+void RuntimeNetwork::LossyRound::MaybeFinalize(size_t index, int tick,
+                                               Fx& fx) {
+  Transfer& t = transfers_[index];
+  if (t.done) return;
+  const bool spent = t.attempts_made >= retry_.max_attempts &&
+                     t.pending_events == 0 && t.pending_retransmits == 0;
+  if (!t.acked && !spent) return;
+  t.done = true;
+  RecordMetric(fx, Fx::MetricOp::Kind::kObserve,
+               handles_.attempts_per_message, kInvalidNode, kInvalidNode,
+               t.attempts_made);
+  if (t.acked || t.delivered_once) return;
+  fx.messages_abandoned += 1;
+  RecordNode(fx, handles_.messages_abandoned, t.sender, 1);
+  if (trace_ != nullptr) {
+    Fx::TraceOp op;
+    op.give_up = true;
+    op.tick = tick;
+    op.from = t.sender;
+    op.to = t.packet.recipient;
+    op.message_id = t.packet.local_message_id;
+    fx.trace_ops.push_back(op);
+  }
+}
+
+void RuntimeNetwork::LossyRound::RecordMetric(Fx& fx, Fx::MetricOp::Kind kind,
+                                              obs::MetricHandle handle,
+                                              NodeId a, NodeId b,
+                                              int64_t value) const {
+  if (metrics_ != nullptr) fx.metric_ops.push_back({kind, handle, a, b, value});
+}
+
+void RuntimeNetwork::LossyRound::RecordSend(Fx& fx, size_t index, int tick,
+                                            int attempt,
+                                            obs::SendOutcome outcome,
+                                            bool ack_lost,
+                                            int drop_hop) const {
+  if (trace_ == nullptr) return;
+  const Transfer& t = transfers_[index];
+  Fx::TraceOp op;
+  op.tick = tick;
+  op.from = t.sender;
+  op.to = t.packet.recipient;
+  op.message_id = t.packet.local_message_id;
+  op.attempt = attempt;
+  op.payload = static_cast<int>(t.packet.payload.size());
+  op.outcome = outcome;
+  op.ack_lost = ack_lost;
+  op.drop_hop = drop_hop;
+  fx.trace_ops.push_back(op);
+}
+
+// Replays one event's deferred shared-state writes, in recorded order.
+void RuntimeNetwork::LossyRound::ApplyFx(Fx& fx) {
+  result_.attempts += fx.attempts;
+  result_.deliveries += fx.deliveries;
+  result_.duplicates += fx.duplicates;
+  result_.retransmissions += fx.retransmissions;
+  result_.acks_lost += fx.acks_lost;
+  result_.messages_abandoned += fx.messages_abandoned;
+  result_.epoch_rejected += fx.epoch_rejected;
+  result_.payload_bytes += fx.payload_bytes;
+  result_.corrupt_frames += fx.corrupt_frames;
+  result_.spontaneous_duplicates += fx.spontaneous_duplicates;
+  result_.reordered_deliveries += fx.reordered_deliveries;
+  for (double term : fx.energy_terms) result_.energy_mj += term;
+  for (const auto& [node, term] : fx.node_energy_terms) {
+    result_.node_energy_mj[node] += term;
+  }
+  for (const auto& [from, to] : fx.heard) result_.heard.emplace(from, to);
+  if (metrics_ != nullptr) {
+    for (const Fx::MetricOp& op : fx.metric_ops) {
+      switch (op.kind) {
+        case Fx::MetricOp::Kind::kAdd:
+          metrics_->Add(op.handle, op.value);
+          break;
+        case Fx::MetricOp::Kind::kAddNode:
+          metrics_->AddNode(op.handle, op.a, op.value);
+          break;
+        case Fx::MetricOp::Kind::kAddEdge:
+          metrics_->AddEdge(op.handle, op.a, op.b, op.value);
+          break;
+        case Fx::MetricOp::Kind::kObserve:
+          metrics_->Observe(op.handle, op.value);
+          break;
+      }
+    }
+  }
+  if (trace_ != nullptr) {
+    for (const Fx::TraceOp& op : fx.trace_ops) {
+      if (op.give_up) {
+        trace_->GiveUp(op.tick, op.from, op.to, op.message_id);
+      } else {
+        trace_->Send(op.tick, op.from, op.to, op.message_id, op.attempt,
+                     op.payload, op.outcome, op.ack_lost, op.drop_hop);
+      }
+    }
+  }
+  for (Fx::Op& op : fx.ops) {
+    if (op.emit) {
+      AddTransfer(op.emission.sender, std::move(op.emission.packet),
+                  op.emission.epoch, op.emission.tick);
+    } else {
+      agenda_.Schedule(op.tick, op.event);
+    }
+  }
+}
+
+// --- Phase 3: epilogue -----------------------------------------------------
+
+// Expected contributor sets per destination: the union of pre-aggregation
+// sites (source -> destination) over every node whose tables are on the
+// destination's plan epoch. Dead nodes keep their tables, so a
+// not-yet-repaired plan truthfully reports a dead source as
+// expected-but-uncovered; once a re-plan routes around it, the new-epoch
+// tables no longer expect it and coverage returns to 1.
+std::map<NodeId, std::set<NodeId>>
+RuntimeNetwork::LossyRound::ExpectedSources() const {
   std::map<NodeId, std::set<NodeId>> expected_sources;
   std::map<NodeId, uint32_t> destination_epoch;
-  for (const NodeRuntime& node : nodes_) {
-    if (node.is_destination() && alive(node.id())) {
+  for (const NodeRuntime& node : net_.nodes_) {
+    if (node.is_destination() && Alive(node.id())) {
       destination_epoch[node.id()] = node.plan_epoch();
     }
   }
-  for (const NodeRuntime& node : nodes_) {
+  for (const NodeRuntime& node : net_.nodes_) {
     for (const PreAggTableEntry& entry : node.decoded().state.preagg_table) {
       auto it = destination_epoch.find(entry.destination);
       if (it == destination_epoch.end()) continue;
@@ -1002,16 +916,20 @@ RuntimeNetwork::LossyResult RuntimeNetwork::RunRoundLossy(
       expected_sources[entry.destination].insert(entry.source);
     }
   }
+  return expected_sources;
+}
 
+RuntimeNetwork::LossyResult RuntimeNetwork::LossyRound::Finish() {
+  std::map<NodeId, std::set<NodeId>> expected_sources = ExpectedSources();
   bool any_degraded = false;
-  for (const NodeRuntime& node : nodes_) {
-    if (!node.is_destination() || !alive(node.id())) continue;
+  for (const NodeRuntime& node : net_.nodes_) {
+    if (!node.is_destination() || !Alive(node.id())) continue;
     std::optional<double> value = node.FinalValue();
     if (value.has_value()) {
-      result.destination_values[node.id()] = *value;
-      result.destination_epochs[node.id()] = node.plan_epoch();
+      result_.destination_values[node.id()] = *value;
+      result_.destination_epochs[node.id()] = node.plan_epoch();
     } else {
-      result.incomplete_destinations.push_back(node.id());
+      result_.incomplete_destinations.push_back(node.id());
     }
     std::optional<NodeRuntime::CoverageReport> report =
         node.DestinationCoverage();
@@ -1032,7 +950,7 @@ RuntimeNetwork::LossyResult RuntimeNetwork::RunRoundLossy(
     if (!value.has_value()) {
       any_degraded = true;
       if (report->degraded_value.has_value()) {
-        result.degraded_values[node.id()] = *report->degraded_value;
+        result_.degraded_values[node.id()] = *report->degraded_value;
       }
     }
     if (metrics_ != nullptr) {
@@ -1040,12 +958,22 @@ RuntimeNetwork::LossyResult RuntimeNetwork::RunRoundLossy(
           handles_.coverage_per_destination,
           static_cast<int64_t>(coverage.coverage * 100.0 + 0.5));
     }
-    result.destination_coverage[node.id()] = std::move(coverage);
+    result_.destination_coverage[node.id()] = std::move(coverage);
   }
   if (any_degraded && metrics_ != nullptr) {
     metrics_->Add(handles_.coverage_degraded_rounds, 1);
   }
-  return result;
+  return std::move(result_);
+}
+
+RuntimeNetwork::LossyResult RuntimeNetwork::RunRoundLossy(
+    const std::vector<double>& readings, const LossyLinkModel& links,
+    const RetryPolicy& retry, const EnergyModel& energy, EventTrace* trace) {
+  M2M_CHECK_EQ(readings.size(), nodes_.size());
+  LossyRound round(*this, links, retry, energy, trace);
+  round.Emit(readings);
+  round.RunTicks();
+  return round.Finish();
 }
 
 }  // namespace m2m

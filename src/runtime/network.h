@@ -108,18 +108,6 @@ class RuntimeNetwork {
   RuntimeNetwork(const RuntimeNetwork&) = default;
   RuntimeNetwork& operator=(const RuntimeNetwork&) = default;
 
-  struct Result {
-    std::unordered_map<NodeId, double> destination_values;
-    int64_t packets = 0;        ///< Milestone-level packets exchanged.
-    int64_t payload_bytes = 0;  ///< Encoded payload bytes (no headers).
-    double energy_mj = 0.0;     ///< Hop-accurate TX+RX on encoded sizes.
-    int delivery_passes = 0;    ///< Iterations until quiescence.
-  };
-
-  /// Runs one round; CHECK-fails if any destination fails to complete.
-  Result RunRound(const std::vector<double>& readings,
-                  const EnergyModel& energy = {});
-
   /// Outcome of one round over lossy links with ack/retry recovery.
   struct LossyResult {
     /// Destinations whose aggregate completed (alive destinations only).
@@ -206,6 +194,17 @@ class RuntimeNetwork {
                             const EnergyModel& energy = {},
                             EventTrace* trace = nullptr);
 
+  /// A clean round is the zero-loss case of the lossy one.
+  using Result = LossyResult;
+
+  /// Runs one round over loss-free links: RunRoundLossy with every attempt
+  /// delivered, every node alive and the default retry policy, so each
+  /// message is sent once and acked inline (`attempts` counts the packets,
+  /// `final_tick + 1` the delivery passes, and `energy_mj` includes the
+  /// header-only acks). CHECK-fails if any destination fails to complete.
+  Result RunRound(const std::vector<double>& readings,
+                  const EnergyModel& energy = {});
+
   /// Attaches a metrics registry: subsequent rounds record per-node and
   /// per-edge counters (tx/rx packets and bytes, retries, backoff waits,
   /// acks, dedup hits, epoch-gate drops) plus per-round histograms.
@@ -261,8 +260,6 @@ class RuntimeNetwork {
     obs::MetricHandle dedup_hits;
     obs::MetricHandle epoch_gate_drops;
     obs::MetricHandle messages_abandoned;
-    obs::MetricHandle tx_packets;
-    obs::MetricHandle delivery_passes;
     obs::MetricHandle attempts_per_message;
     obs::MetricHandle round_ticks;
     obs::MetricHandle installs;
@@ -274,9 +271,10 @@ class RuntimeNetwork {
     obs::MetricHandle coverage_degraded_rounds;
   };
 
+  /// One RunRoundLossy call's state and phases (defined in network.cc).
+  class LossyRound;
+
   std::vector<NodeRuntime> nodes_;
-  /// Physical hop count per (node, local message id).
-  std::vector<std::vector<int>> message_hops_;
   /// Physical segment (tail..head inclusive) per (node, local message id).
   std::vector<std::vector<std::vector<NodeId>>> message_segments_;
   int64_t installed_image_bytes_ = 0;

@@ -199,6 +199,9 @@ void NodeRuntime::OnReceive(const std::vector<uint8_t>& packet) {
     NodeId subject = static_cast<NodeId>(reader.ReadVarint());
     if (is_partial) {
       PartialRecord record;
+      M2M_CHECK_LE(fields, static_cast<int>(record.fields.size()))
+          << "partial unit for destination " << subject
+          << " carries too many fields";
       for (int f = 0; f < fields; ++f) {
         record.fields[f] = reader.ReadF32();
       }
@@ -229,12 +232,6 @@ NodeRuntime::ReceiveOutcome NodeRuntime::OnReceiveOnce(
   if (!fresh) return ReceiveOutcome::kDuplicate;
   OnReceive(packet);
   return ReceiveOutcome::kFresh;
-}
-
-bool NodeRuntime::OnReceiveOnce(NodeId sender, int sender_message_id,
-                                const std::vector<uint8_t>& packet) {
-  return OnReceiveOnce(sender, sender_message_id, state_.plan_epoch, packet,
-                       /*tick=*/0) == ReceiveOutcome::kFresh;
 }
 
 void NodeRuntime::EvictSeenPacketsBefore(int tick) {

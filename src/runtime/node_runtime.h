@@ -83,11 +83,6 @@ class NodeRuntime {
                                const std::vector<uint8_t>& packet,
                                int tick);
 
-  /// Back-compat shim: same-epoch receive at tick 0. Returns true iff the
-  /// packet was fresh and processed.
-  bool OnReceiveOnce(NodeId sender, int sender_message_id,
-                     const std::vector<uint8_t>& packet);
-
   /// Drops dedup entries last refreshed before `tick`. Safe once `tick` is
   /// beyond the retry horizon (the latest tick at which a sender could
   /// still retransmit the message), which keeps the table at O(messages in

@@ -299,4 +299,12 @@ std::optional<std::pair<NodeId, uint32_t>> TryDecodeInstallAck(
   return std::make_pair(node, static_cast<uint32_t>(epoch));
 }
 
+bool CorruptedFrameRejected(const std::vector<uint8_t>& payload,
+                            uint32_t corrupt_bit) {
+  std::vector<uint8_t> frame = FrameWithCrc32(payload);
+  const size_t bit = corrupt_bit % (frame.size() * 8);
+  frame[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+  return !TryOpenCrc32Frame(frame).has_value();
+}
+
 }  // namespace m2m::wire

@@ -55,6 +55,13 @@ inline std::vector<uint8_t> FrameWithCrc32(
   return Crc32Frame(payload);
 }
 
+/// A hop crossing that corrupted `payload` in transit: frames it, flips bit
+/// `corrupt_bit` modulo the frame's bit length, and reports whether the
+/// receiver's CRC32 check rejects the frame (it does for every single-bit
+/// flip; a frame that still opened would be intact).
+bool CorruptedFrameRejected(const std::vector<uint8_t>& payload,
+                            uint32_t corrupt_bit);
+
 // --- Coverage summaries (contributing-source accounting) ---
 
 /// Largest contributing-source set tracked exactly; beyond it the summary

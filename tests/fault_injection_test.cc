@@ -329,9 +329,9 @@ TEST(LossyRuntimeTest, ExhaustedRetriesReportIncompleteDestinations) {
   EXPECT_TRUE(lossy.destination_values.empty());
 }
 
-// Fault-free lossy execution must agree with the quiescence-based runtime
-// and the analytic executor — the lossy path is a strict generalization.
-TEST(LossyRuntimeTest, PerfectLinksMatchQuiescentRuntime) {
+// Fault-free lossy execution must agree with the analytic executor, the
+// independent reference the byte-level runtime is checked against.
+TEST(LossyRuntimeTest, PerfectLinksMatchAnalyticExecutor) {
   Topology topology = MakeGreatDuckIslandLike();
   Workload workload = DefaultWorkload(topology, 3);
   PathSystem paths(topology);
@@ -341,8 +341,9 @@ TEST(LossyRuntimeTest, PerfectLinksMatchQuiescentRuntime) {
   CompiledPlan compiled = CompiledPlan::Compile(plan, workload.functions);
 
   ReadingGenerator readings(topology.node_count(), 12);
-  RuntimeNetwork lossless(compiled, workload.functions);
-  RuntimeNetwork::Result reference = lossless.RunRound(readings.values());
+  PlanExecutor executor(std::make_shared<CompiledPlan>(compiled),
+                        workload.functions, EnergyModel{});
+  RoundResult reference = executor.RunRound(readings.values());
 
   RuntimeNetwork network(compiled, workload.functions);
   LossyLinkModel links;

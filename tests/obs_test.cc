@@ -366,14 +366,14 @@ TEST(MetricsReconciliationTest, LosslessRoundMatchesResultAccounting) {
   ReadingGenerator readings(topology.node_count(), 17);
   RuntimeNetwork::Result result = network.RunRound(readings.values());
 
-  EXPECT_EQ(registry.Total("runtime.tx_packets"), result.packets);
+  // A clean round sends every packet once and delivers it once.
+  EXPECT_EQ(registry.Total("runtime.tx_attempts"), result.attempts);
   EXPECT_EQ(registry.Total("runtime.tx_bytes"), result.payload_bytes);
-  EXPECT_EQ(registry.Total("runtime.rx_packets"), result.packets);
+  EXPECT_EQ(registry.Total("runtime.rx_packets"), result.attempts);
+  EXPECT_EQ(registry.Total("runtime.rx_packets"), result.deliveries);
   EXPECT_EQ(registry.Total("runtime.rx_bytes"), result.payload_bytes);
-  EXPECT_EQ(registry.Total("runtime.delivery_passes"),
-            result.delivery_passes);
   // Per-node labels partition the totals exactly.
-  EXPECT_EQ(registry.NodeSum("runtime.tx_packets"), result.packets);
+  EXPECT_EQ(registry.NodeSum("runtime.tx_attempts"), result.attempts);
   EXPECT_EQ(registry.NodeSum("runtime.rx_bytes"), result.payload_bytes);
 }
 

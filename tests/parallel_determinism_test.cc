@@ -161,7 +161,7 @@ std::string RuntimeFingerprint(uint64_t seed) {
     ReadingGenerator readings(topology.node_count(),
                               seed * 200 + static_cast<uint64_t>(round));
     RuntimeNetwork::Result result = network.RunRound(readings.values());
-    out << "plain r" << round << " packets=" << result.packets
+    out << "plain r" << round << " attempts=" << result.attempts
         << " bytes=" << result.payload_bytes << " e=";
     AppendHex(out, result.energy_mj);
     std::map<NodeId, double> ordered(result.destination_values.begin(),

@@ -113,7 +113,7 @@ TEST_P(RuntimeNetworkTest, MatchesAnalyticExecutor) {
                 1e-4 * std::max(1.0, std::fabs(value)))
         << ToString(kind) << "/" << ToString(strategy);
   }
-  EXPECT_GT(distributed.packets, 0);
+  EXPECT_GT(distributed.attempts, 0);
   EXPECT_GT(distributed.energy_mj, 0.0);
 }
 
@@ -139,9 +139,11 @@ TEST(RuntimeNetworkTest, PacketCountMatchesScheduleMessages) {
   RuntimeNetwork network(system.compiled(), system.workload().functions);
   ReadingGenerator readings(system.topology().node_count(), 10);
   RuntimeNetwork::Result result = network.RunRound(readings.values());
-  EXPECT_EQ(result.packets,
+  // A clean round sends each message once and acks it inline.
+  EXPECT_EQ(result.attempts,
             static_cast<int64_t>(
                 system.compiled().schedule().messages().size()));
+  EXPECT_EQ(result.retransmissions, 0);
 }
 
 TEST(RuntimeNetworkTest, RunsMultipleRounds) {
@@ -212,6 +214,24 @@ TEST(NodeRuntimeTest, RejectsForeignPartialRecords) {
     return;
   }
   GTEST_SKIP() << "no partial-free node in this plan";
+}
+
+// A partial unit's tag carries a 4-bit field count, so a well-framed packet
+// can claim up to 15 fields; a record holds at most three. The count must
+// be rejected before any field is read into the record.
+TEST(NodeRuntimeTest, RejectsPartialUnitWithTooManyFields) {
+  System system = MakeSystem(307, AggregateKind::kWeightedAverage);
+  std::vector<std::vector<uint8_t>> images = EncodeAllNodeStates(
+      system.compiled(), system.workload().functions);
+  const NodeId destination = system.workload().tasks.front().destination;
+  NodeRuntime node(destination, images[destination]);
+  node.StartRound(1.0);
+  ByteWriter writer;
+  writer.WriteVarint(1);
+  writer.WriteU8(0xF1);  // partial, 15 fields
+  writer.WriteVarint(static_cast<uint64_t>(destination));
+  for (int f = 0; f < 15; ++f) writer.WriteF32(1.0f);
+  EXPECT_DEATH(node.OnReceive(writer.bytes()), "carries too many fields");
 }
 
 }  // namespace

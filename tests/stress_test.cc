@@ -66,8 +66,9 @@ TEST(StressTest, DistributedRuntimeAtScale) {
   ReadingGenerator readings(topology.node_count(), 906);
   RuntimeNetwork::Result result = network.RunRound(readings.values());
   EXPECT_EQ(result.destination_values.size(), workload.tasks.size());
-  // Every packet delivered within a bounded number of cascade passes.
-  EXPECT_LE(result.delivery_passes, 64);
+  // Every packet delivered within a bounded number of cascade passes
+  // (one tick per pass on a clean round).
+  EXPECT_LT(result.final_tick, 64);
 }
 
 TEST(StressTest, LongSuppressionRunStaysExact) {
