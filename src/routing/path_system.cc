@@ -164,6 +164,25 @@ NodeId PathSystem::NextHop(NodeId u, NodeId v) const {
   return next;
 }
 
+NodeId PathSystem::TreeNextHop(NodeId root, NodeId holder,
+                               NodeId target) const {
+  CheckNode(root);
+  CheckNode(holder);
+  CheckNode(target);
+  M2M_CHECK_NE(holder, target);
+  const std::vector<NodeId>& toward_root = ColumnFor(root).next_hop;
+  if (target == root) return toward_root[holder];
+  // Walk target -> root; the node stepping onto holder is holder's child
+  // on the root -> target path. An unreachable target stops at once.
+  NodeId cursor = target;
+  while (cursor != root && cursor != kInvalidNode) {
+    const NodeId next = toward_root[cursor];
+    if (next == holder) return cursor;
+    cursor = next;
+  }
+  return kInvalidNode;
+}
+
 std::vector<NodeId> PathSystem::Path(NodeId u, NodeId v) const {
   CheckNode(u);
   CheckNode(v);
@@ -204,6 +223,13 @@ bool PathSystem::PathIsConsistent(NodeId u, NodeId v) const {
     }
   }
   return true;
+}
+
+int PathSystem::materialized_columns() const {
+  std::lock_guard<std::mutex> lock(columns_mutex_);
+  return static_cast<int>(
+      std::count_if(columns_.begin(), columns_.end(),
+                    [](const auto& column) { return column != nullptr; }));
 }
 
 }  // namespace m2m

@@ -69,6 +69,15 @@ class PathSystem {
   /// First hop on the canonical path u -> v. Requires u != v and v reachable.
   NodeId NextHop(NodeId u, NodeId v) const;
 
+  /// Next hop from `holder` toward `target` read only from `root`'s
+  /// column: the canonical root -> target path is the reverse of the
+  /// target -> root walk in root's tree (weights are symmetric), so on that
+  /// path this equals NextHop(holder, target) without building target's
+  /// column. For target == root it is NextHop(holder, root). Returns
+  /// kInvalidNode when holder is not on the canonical root -> target path
+  /// or either end is unreachable from root. Requires holder != target.
+  NodeId TreeNextHop(NodeId root, NodeId holder, NodeId target) const;
+
   /// Full canonical path u -> v, inclusive of both endpoints.
   std::vector<NodeId> Path(NodeId u, NodeId v) const;
 
@@ -78,6 +87,10 @@ class PathSystem {
   /// Verifies the consistency property on all subpaths of P(u, v); used by
   /// tests and by debug validation of multicast construction.
   bool PathIsConsistent(NodeId u, NodeId v) const;
+
+  /// Columns materialized so far (each one Dijkstra), counting those shared
+  /// from the copy source.
+  int materialized_columns() const;
 
  private:
   /// Shortest-path state toward one target t: weight[u] is the perturbed

@@ -408,19 +408,26 @@ void SelfHealingRuntime::AdvanceControlPlane(int round,
     while (in_flight_[i].holder != in_flight_[i].target) {
       const NodeId holder = in_flight_[i].holder;
       const NodeId target = in_flight_[i].target;
-      // Prefer the believed topology; when it offers no route, fall back
-      // to the deployment route. The message with no believed route may be
-      // the very report that corrects the belief (a merged monitor
-      // retracting the cut it sits behind), and every hop is still gated
-      // by the physical layer below.
-      const PathSystem& paths =
-          control_paths_.PathWeight(holder, target) == kUnreachableWeight
-              ? deployment_paths_
-              : control_paths_;
-      if (paths.PathWeight(holder, target) == kUnreachableWeight) {
-        break;  // Physically severed deployment; retry next round.
+      // Every control message has the base station at one end, so a holder
+      // on the believed route reads its hop from the base's own column
+      // (canonical paths are subpaths of the base's tree). Only a holder
+      // left off that route by a route change builds the target's column.
+      NodeId next = control_paths_.TreeNextHop(base_, holder, target);
+      if (next == kInvalidNode) {
+        // Prefer the believed topology; when it offers no route, fall back
+        // to the deployment route. The message with no believed route may
+        // be the very report that corrects the belief (a merged monitor
+        // retracting the cut it sits behind), and every hop is still gated
+        // by the physical layer below.
+        const PathSystem& paths =
+            control_paths_.PathWeight(holder, target) == kUnreachableWeight
+                ? deployment_paths_
+                : control_paths_;
+        if (paths.PathWeight(holder, target) == kUnreachableWeight) {
+          break;  // Physically severed deployment; retry next round.
+        }
+        next = paths.NextHop(holder, target);
       }
-      const NodeId next = paths.NextHop(holder, target);
       int attempt_base = 0;
       switch (in_flight_[i].kind) {
         case ControlMessage::Kind::kReport:

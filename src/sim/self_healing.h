@@ -373,7 +373,10 @@ class SelfHealingRuntime {
   /// Paths control messages route over: the deployment topology minus
   /// every link any monitor suspects (suspicions propagate through the
   /// control plane itself; routing around them immediately is what lets a
-  /// report escape a region whose primary path just failed).
+  /// report escape a region whose primary path just failed). Every control
+  /// message has the base station at one end, so a holder on its route
+  /// reads the next hop from the base's own column (TreeNextHop); only a
+  /// holder left off the route by a change builds the target's column.
   PathSystem control_paths_;
   std::set<std::pair<NodeId, NodeId>> control_paths_suspected_;
   /// Fallback routes over the full deployment graph, for messages whose

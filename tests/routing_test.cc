@@ -1,9 +1,12 @@
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <set>
+#include <utility>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "plan/consistency.h"
 #include "plan/planner.h"
 #include "routing/backbone.h"
@@ -100,6 +103,102 @@ TEST(PathSystemTest, UnreachableAborts) {
   PathSystem paths(split);
   EXPECT_DEATH(paths.HopDistance(0, 1), "unreachable");
   EXPECT_DEATH(paths.NextHop(0, 1), "unreachable");
+}
+
+// A seeded random deployment with a few dead nodes and failed links, so
+// some pairs are unreachable (dead nodes keep no links).
+Topology DamagedTopology(uint64_t seed) {
+  Topology full = MakeUniformRandom(60, Area{200.0, 200.0}, 40.0, seed);
+  Rng rng(seed * 101 + 7);
+  std::vector<NodeId> dead;
+  for (int i = 0; i < 3; ++i) {
+    dead.push_back(static_cast<NodeId>(rng.UniformInt(full.node_count())));
+  }
+  std::vector<std::pair<NodeId, NodeId>> failed;
+  for (int i = 0; i < 12; ++i) {
+    const NodeId a = static_cast<NodeId>(rng.UniformInt(full.node_count()));
+    const std::vector<NodeId>& around = full.neighbors(a);
+    if (around.empty()) continue;
+    const NodeId b = around[rng.UniformInt(around.size())];
+    failed.emplace_back(std::min(a, b), std::max(a, b));
+  }
+  return Topology::WithFailures(full, failed, dead);
+}
+
+// TreeNextHop reads a hop toward any target from the root's column alone.
+// On the canonical root -> target path it must name the same node as
+// NextHop from a separate system that builds the target's own column;
+// everywhere else it must decline.
+TEST(PathSystemTest, TreeNextHopMatchesNextHopOnRootPaths) {
+  int unreachable_pairs = 0;
+  int off_path_checks = 0;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    Topology topology = DamagedTopology(seed);
+    const int n = topology.node_count();
+    PathSystem tree(topology);
+    PathSystem reference(topology);
+    auto connected = [&reference](NodeId u, NodeId v) {
+      return reference.PathWeight(u, v) !=
+             std::numeric_limits<int64_t>::max();
+    };
+    for (NodeId root = 0; root < n; ++root) {
+      for (NodeId target = 0; target < n; ++target) {
+        const bool reachable = connected(root, target);
+        std::vector<bool> on_path(n, false);
+        if (reachable) {
+          for (NodeId node : reference.Path(root, target)) {
+            on_path[node] = true;
+          }
+        } else {
+          ++unreachable_pairs;
+        }
+        for (NodeId holder = 0; holder < n; ++holder) {
+          if (holder == target) continue;
+          const NodeId got = tree.TreeNextHop(root, holder, target);
+          const bool holder_routes = target == root
+                                         ? connected(holder, root)
+                                         : reachable && on_path[holder];
+          if (holder_routes) {
+            EXPECT_EQ(got, reference.NextHop(holder, target))
+                << "seed " << seed << " root " << root << " holder "
+                << holder << " target " << target;
+          } else {
+            ++off_path_checks;
+            EXPECT_EQ(got, kInvalidNode)
+                << "seed " << seed << " root " << root << " holder "
+                << holder << " target " << target;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(unreachable_pairs, 0);
+  EXPECT_GT(off_path_checks, 0);
+}
+
+// One hop-by-hop wave from the root to every target, and every target's
+// reply back to the root, reads only the root's column: one Dijkstra.
+TEST(PathSystemTest, TreeWaveMaterializesOneColumn) {
+  Topology topology = MakeUniformRandom(120, Area{260.0, 260.0}, 40.0, 5);
+  PathSystem paths(topology);
+  const NodeId root = 17;
+  EXPECT_EQ(paths.materialized_columns(), 0);
+  for (NodeId target = 0; target < topology.node_count(); ++target) {
+    if (target == root) continue;
+    for (auto [from, to] :
+         {std::pair{root, target}, std::pair{target, root}}) {
+      NodeId holder = from;
+      int hops = 0;
+      while (holder != to) {
+        const NodeId next = paths.TreeNextHop(root, holder, to);
+        ASSERT_NE(next, kInvalidNode) << holder << " -> " << to;
+        ASSERT_TRUE(topology.AreNeighbors(holder, next));
+        holder = next;
+        ASSERT_LT(++hops, topology.node_count()) << "routing cycle";
+      }
+    }
+  }
+  EXPECT_EQ(paths.materialized_columns(), 1);
 }
 
 class MulticastForestTest : public ::testing::Test {

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "fault_test_util.h"
+#include "obs/metrics.h"
 #include "plan/consistency.h"
 #include "plan/dissemination.h"
 #include "plan/node_tables.h"
@@ -18,6 +19,7 @@
 #include "plan/serialization.h"
 #include "routing/multicast.h"
 #include "routing/path_system.h"
+#include "runtime/channel.h"
 #include "runtime/detector.h"
 #include "runtime/network.h"
 #include "runtime/wire_functions.h"
@@ -748,6 +750,118 @@ TEST(ControlWireTest, InstallAckRoundTrip) {
   EXPECT_EQ(decoded->first, 42);
   EXPECT_EQ(decoded->second, 9u);
   EXPECT_FALSE(wire::TryDecodeInstallAck(wire::EncodeEpochBump(1)).has_value());
+}
+
+// --- Golden digests ---
+
+uint64_t Fnv1a64(const std::string& bytes) {
+  uint64_t hash = 0xcbf29ce484222325ull;
+  for (unsigned char c : bytes) {
+    hash ^= c;
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
+}
+
+/// One heal-like run: 5% per-attempt loss on top of node deaths, link
+/// failures and their recoveries. Returns every round's control counters,
+/// epoch and destination value bits, then EventTrace::ToString(), then the
+/// metrics JSON.
+std::string GoldenSelfHealingBytes(uint64_t seed, bool partition_aware) {
+  Topology topology = MakeUniformRandom(150, Area{320.0, 320.0}, 45.0, seed);
+  const NodeId base = PickBaseStation(topology);
+  Workload workload = DefaultWorkload(topology, seed * 29 + 5);
+  FaultScheduleOptions fault_options;
+  fault_options.rounds = 24;
+  fault_options.transient_link_fraction = 0.0;
+  fault_options.node_deaths = 2;
+  fault_options.persistent_link_failures = 3;
+  fault_options.node_recoveries = 1;
+  fault_options.link_heals = 2;
+  fault_options.recovery_delay_rounds = 6;
+  fault_options.seed = seed * 13 + 1;
+  FaultSchedule schedule =
+      FaultSchedule::Generate(topology, {base}, fault_options);
+  ChannelOptions channel_options;
+  channel_options.good_loss = 0.05;
+  channel_options.seed = seed * 7 + 3;
+  ChannelModel channel(channel_options);
+
+  SelfHealingOptions options;
+  options.partition_aware = partition_aware;
+  SelfHealingRuntime runtime(topology, workload, base, options);
+  obs::MetricsRegistry metrics;
+  runtime.set_metrics(&metrics);
+  EventTrace trace;
+  std::ostringstream rounds;
+  for (int round = 0; round < fault_options.rounds + 8; ++round) {
+    ReadingGenerator readings(topology.node_count(),
+                              seed * 100 + static_cast<uint64_t>(round));
+    LossyLinkModel physical;
+    physical.attempt_delivers = [&schedule, &channel, round](
+                                    NodeId from, NodeId to, int attempt) {
+      return schedule.AttemptDelivers(round, from, to, attempt) &&
+             channel.AttemptDelivers(round, from, to, attempt);
+    };
+    physical.node_alive = [&schedule, round](NodeId n) {
+      return schedule.NodeAliveAt(round, n);
+    };
+    SelfHealingRoundResult result =
+        runtime.RunRound(round, readings.values(), physical, &trace);
+    rounds << "r" << round << " attempts=" << result.control_hop_attempts
+           << " crossed=" << result.control_hops_crossed
+           << " delivered=" << result.control_messages_delivered
+           << " bytes=" << result.control_payload_bytes
+           << " epoch=" << result.base_epoch;
+    std::map<NodeId, double> values(result.data.destination_values.begin(),
+                                    result.data.destination_values.end());
+    for (const auto& [destination, value] : values) {
+      rounds << " d" << destination << "=" << std::hexfloat << value
+             << std::defaultfloat;
+    }
+    rounds << "\n";
+  }
+  return rounds.str() + trace.ToString() + metrics.ToJson();
+}
+
+// FNV-1a of GoldenSelfHealingBytes; rows are seeds 1..20, columns
+// partition_aware off and on. Recorded before control messages routed down
+// the base station's tree: any change of control route moves the counters,
+// the trace or the metrics.
+constexpr uint64_t kSelfHealingGoldenDigests[20][2] = {
+    {0x4a0fb4bfbbb53a23ull, 0x4a0fb4bfbbb53a23ull},
+    {0x09feccb73f61ebeeull, 0x09feccb73f61ebeeull},
+    {0xce22b2ad71125dd6ull, 0xce22b2ad71125dd6ull},
+    {0x248e83bf32e0fc34ull, 0x248e83bf32e0fc34ull},
+    {0xbaf90cdeeaaa9c92ull, 0xbaf90cdeeaaa9c92ull},
+    {0x2429e3b121330959ull, 0x2429e3b121330959ull},
+    {0xf1bb8684ff90bd7dull, 0xf1bb8684ff90bd7dull},
+    {0x990f2e1430379bdbull, 0x6084b173b770c243ull},
+    {0x5a6e4a2ff8472af3ull, 0x5a6e4a2ff8472af3ull},
+    {0xa1ebf68402f7f4a7ull, 0x712ed3de59da42b4ull},
+    {0x1c4189e9c3947d21ull, 0x28bb52d19ca8d1b2ull},
+    {0x07a3a0e0211f0a0full, 0xa2bc8df1f3523959ull},
+    {0xcf2aa6ec36b5a8ceull, 0x82346beb6b857798ull},
+    {0xa2b4b454de443634ull, 0x9106af3af788f532ull},
+    {0x5dc3f0eb5a71a3d4ull, 0x5dc3f0eb5a71a3d4ull},
+    {0x305c1187733bf4e0ull, 0x305c1187733bf4e0ull},
+    {0x6c71a70981027212ull, 0x304396d789b8df14ull},
+    {0xdc7a9ce73d87e12cull, 0x2f0cbf5dadd1aeb8ull},
+    {0xcd4a6399243183a6ull, 0xcd4a6399243183a6ull},
+    {0xf9be60a13b7bd37full, 0xf9be60a13b7bd37full},
+};
+
+TEST(SelfHealingGolden, MatchesRecordedDigests) {
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    for (int aware = 0; aware < 2; ++aware) {
+      SCOPED_TRACE("seed=" + std::to_string(seed) +
+                   " partition_aware=" + std::to_string(aware));
+      const uint64_t digest =
+          Fnv1a64(GoldenSelfHealingBytes(seed, aware == 1));
+      EXPECT_EQ(digest, kSelfHealingGoldenDigests[seed - 1][aware])
+          << "digest 0x" << std::hex << digest;
+    }
+  }
 }
 
 }  // namespace
